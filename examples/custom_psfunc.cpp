@@ -29,16 +29,17 @@ Result<ByteBuffer> NormClip(ps::PsServer& server, ByteReader& args) {
   PSG_RETURN_NOT_OK(args.Read(&max_norm));
   PSG_ASSIGN_OR_RETURN(ps::MatrixShard * shard, server.GetShard(id));
   uint64_t clipped = 0;
-  for (auto& [key, row] : shard->rows) {
+  const uint32_t cols = shard->slice_cols;
+  PSG_RETURN_NOT_OK(shard->rows.ForEach([&](uint64_t, float* row) {
     double sq = 0.0;
-    for (float v : row) sq += (double)v * v;
+    for (uint32_t c = 0; c < cols; ++c) sq += (double)row[c] * row[c];
     double norm = std::sqrt(sq);
     if (norm > max_norm) {
       float scale = static_cast<float>(max_norm / norm);
-      for (float& v : row) v *= scale;
+      for (uint32_t c = 0; c < cols; ++c) row[c] *= scale;
       ++clipped;
     }
-  }
+  }));
   ByteBuffer resp;
   resp.Write<uint64_t>(clipped);
   return resp;

@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "graph/degree.h"
 #include "ps/agent.h"
+#include "ps/contribution_batch.h"
 
 namespace psgraph::core {
 
@@ -99,6 +100,9 @@ Result<PageRankResult> PageRank(PsGraphContext& ctx,
   // lost iterations are redone (paper SIII-B).
   int last_checkpoint_iter = -1;
   int iter = 0;
+  // One running key-sorted contribution batch per executor, reused across
+  // iterations.
+  std::vector<ps::ContributionBatch<float>> updates(E);
   while (iter < opts.max_iterations) {
     PSG_ASSIGN_OR_RETURN(auto recovery,
                          ctx.HandleFailures(iter, opts.recovery));
@@ -118,10 +122,11 @@ Result<PageRankResult> PageRank(PsGraphContext& ctx,
     }
 
     // Phase 1: every executor pulls the deltas of its local sources and
-    // computes contributions to destinations. Executors run concurrently
-    // (RunPartitioned pins partition p to executor p % E, so updates[e]
-    // and executor e's clock are only touched by e's task).
-    std::vector<std::unordered_map<graph::VertexId, float>> updates(E);
+    // scatters contributions to destinations into its batch. Executors
+    // run concurrently (RunPartitioned pins partition p to executor
+    // p % E, so updates[e] and executor e's clock are only touched by e's
+    // task).
+    for (auto& batch : updates) batch.clear();
     PSG_RETURN_NOT_OK(dataflow::RunPartitioned(
         &ctx.dataflow(), nbr.num_partitions(), [&](int32_t p) -> Status {
           int32_t e = ctx.dataflow().ExecutorOf(p);
@@ -132,20 +137,22 @@ Result<PageRankResult> PageRank(PsGraphContext& ctx,
           PSG_ASSIGN_OR_RETURN(std::vector<float> ds,
                                ctx.agent(e).PullRows(deltas, keys));
           uint64_t edges_processed = 0;
-          auto& local = updates[e];
-          for (size_t i = 0; i < tables.size(); ++i) {
-            double d = ds[i];
-            if (std::fabs(d) <= opts.prune_epsilon) continue;
-            const auto& dsts = tables[i].second;
-            if (dsts.empty()) continue;
-            double degree =
-                opts.group_to_neighbor_tables
-                    ? static_cast<double>(dsts.size())
-                    : static_cast<double>(outdeg[tables[i].first]);
-            float contrib = static_cast<float>(damp * d / degree);
-            for (graph::VertexId dst : dsts) local[dst] += contrib;
-            edges_processed += dsts.size();
-          }
+          PSG_RETURN_NOT_OK(ps::AccumulateInto(
+              num_vertices, &updates[e], [&](auto& acc) {
+                for (size_t i = 0; i < tables.size(); ++i) {
+                  double d = ds[i];
+                  if (std::fabs(d) <= opts.prune_epsilon) continue;
+                  const auto& dsts = tables[i].second;
+                  if (dsts.empty()) continue;
+                  double degree =
+                      opts.group_to_neighbor_tables
+                          ? static_cast<double>(dsts.size())
+                          : static_cast<double>(outdeg[tables[i].first]);
+                  float contrib = static_cast<float>(damp * d / degree);
+                  for (graph::VertexId dst : dsts) acc.Add(dst, contrib);
+                  edges_processed += dsts.size();
+                }
+              }));
           ctx.cluster().clock().Advance(
               ctx.cluster().config().executor(e),
               ctx.cluster().cost().ComputeTime(edges_processed));
@@ -174,15 +181,8 @@ Result<PageRankResult> PageRank(PsGraphContext& ctx,
     PSG_RETURN_NOT_OK(dataflow::RunPartitioned(
         &ctx.dataflow(), E, [&](int32_t e) -> Status {
           if (updates[e].empty()) return Status::OK();
-          std::vector<uint64_t> keys;
-          std::vector<float> values;
-          keys.reserve(updates[e].size());
-          values.reserve(updates[e].size());
-          for (const auto& [dst, u] : updates[e]) {
-            keys.push_back(dst);
-            values.push_back(u);
-          }
-          return ctx.agent(e).PushAdd(deltas, keys, values);
+          return ctx.agent(e).PushAdd(deltas, updates[e].keys,
+                                      updates[e].values);
         }));
 
     ctx.sync().IterationBarrier();

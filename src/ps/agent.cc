@@ -37,10 +37,15 @@ std::vector<std::vector<uint32_t>> PsAgent::GroupKeysByServer(
     const MatrixMeta& meta, const std::vector<uint64_t>& keys) const {
   // Sort-and-sweep grouping: one hoisted partitioner (not one per key), a
   // counting pass to pre-size each bucket exactly, then each server's
-  // index list is stable-sorted by key. Sorted per-server requests let
-  // the server walk its frozen CSR monotonically instead of restarting
-  // the binary search per key; stability keeps duplicate keys in arrival
-  // order, so the float-add order of push_add is unchanged.
+  // index list ordered by key. Sorted per-server requests let the server
+  // walk its frozen CSR monotonically instead of restarting the binary
+  // search per key, and make the wire image and apply order a function
+  // of the key set. Sorted-batch contract: callers that build their
+  // batches key-sorted (ps/contribution_batch.h) get the O(n) path —
+  // index order already is key order in every bucket, so the per-server
+  // sort is skipped. Otherwise each bucket is stable-sorted; stability
+  // keeps duplicate keys in arrival order, so the float-add order of
+  // push_add is unchanged.
   const int32_t num_servers = ctx_->num_servers();
   Partitioner part(meta.scheme, meta.num_rows, num_servers);
   std::vector<uint32_t> server_of(keys.size());
@@ -55,6 +60,7 @@ std::vector<std::vector<uint32_t>> PsAgent::GroupKeysByServer(
   for (uint32_t i = 0; i < keys.size(); ++i) {
     by_server[server_of[i]].push_back(i);
   }
+  if (std::is_sorted(keys.begin(), keys.end())) return by_server;
   for (auto& idxs : by_server) {
     std::stable_sort(idxs.begin(), idxs.end(), [&](uint32_t a, uint32_t b) {
       return keys[a] < keys[b];

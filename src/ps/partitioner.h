@@ -9,7 +9,9 @@
 #ifndef PSGRAPH_PS_PARTITIONER_H_
 #define PSGRAPH_PS_PARTITIONER_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "common/hash.h"
 
@@ -55,6 +57,18 @@ class Partitioner {
                                     num_partitions_);
     }
     return 0;
+  }
+
+  /// kRange only: the keys [begin, end) below `num_rows` that map to
+  /// `partition` (keys at or beyond num_rows clamp into the last
+  /// partition but are outside every range).
+  std::pair<uint64_t, uint64_t> RangeOf(int32_t partition,
+                                        uint64_t num_rows) const {
+    const uint64_t width =
+        (key_space_ + num_partitions_ - 1) / num_partitions_;
+    const uint64_t begin =
+        std::min(num_rows, width * static_cast<uint64_t>(partition));
+    return {begin, std::min(num_rows, begin + width)};
   }
 
   int32_t ServerOf(uint64_t key, int32_t num_servers) const {

@@ -10,8 +10,8 @@
 // function touches must share partitioning (created with the same shape
 // and scheme), so co-partitioned keys resolve on the same server.
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/hash.h"
 #include "common/random.h"
@@ -22,6 +22,31 @@
 namespace psgraph::ps {
 
 namespace {
+
+/// Calls fn(key) for every key below num_rows whose row this server holds
+/// (all keys for a column slice), ascending; stops at the first error.
+/// A dense shard walks just its owned range.
+template <typename Fn>
+Status ForEachOwnedKey(const PsServer& server, const MatrixShard& shard,
+                       Fn&& fn) {
+  const MatrixMeta& meta = shard.meta;
+  if (shard.rows.dense()) {
+    for (uint64_t key = shard.rows.owned_begin();
+         key < shard.rows.owned_end(); ++key) {
+      PSG_RETURN_NOT_OK(fn(key));
+    }
+    return Status::OK();
+  }
+  Partitioner part(meta.scheme, meta.num_rows, server.num_servers());
+  for (uint64_t key = 0; key < meta.num_rows; ++key) {
+    if (meta.layout == Layout::kRowPartitioned &&
+        part.PartitionOf(key) != server.server_index()) {
+      continue;
+    }
+    PSG_RETURN_NOT_OK(fn(key));
+  }
+  return Status::OK();
+}
 
 // "pagerank.advance": args = [delta_id:i32][ranks_id:i32]
 // ranks += delta for every materialized delta row; deltas reset to zero.
@@ -36,15 +61,17 @@ Result<ByteBuffer> PageRankAdvance(PsServer& server, ByteReader& args) {
   double l1 = 0.0;
   std::vector<uint64_t> keys(1);
   std::vector<float> value(1);
-  for (auto& [key, row] : delta->rows) {
-    float d = row[0];
-    if (d == 0.0f) continue;
-    l1 += std::fabs(d);
-    keys[0] = key;
-    value[0] = d;
-    PSG_RETURN_NOT_OK(server.PushAdd(ranks_id, keys, value));
-    row[0] = 0.0f;
-  }
+  PSG_RETURN_NOT_OK(
+      delta->rows.ForEach([&](uint64_t key, float* row) -> Status {
+        const float d = row[0];
+        if (d == 0.0f) return Status::OK();
+        l1 += std::fabs(d);
+        keys[0] = key;
+        value[0] = d;
+        PSG_RETURN_NOT_OK(server.PushAdd(ranks_id, keys, value));
+        row[0] = 0.0f;
+        return Status::OK();
+      }));
   (void)ranks;
   ByteBuffer resp;
   resp.Write<double>(l1);
@@ -56,9 +83,9 @@ Result<ByteBuffer> ResetRows(PsServer& server, ByteReader& args) {
   MatrixId id = -1;
   PSG_RETURN_NOT_OK(args.Read(&id));
   PSG_ASSIGN_OR_RETURN(MatrixShard * shard, server.GetShard(id));
-  for (auto& [_, row] : shard->rows) {
-    std::fill(row.begin(), row.end(), 0.0f);
-  }
+  const uint32_t cols = shard->slice_cols;
+  (void)shard->rows.ForEach(
+      [cols](uint64_t, float* row) { std::fill_n(row, cols, 0.0f); });
   return ByteBuffer();
 }
 
@@ -68,9 +95,10 @@ Result<ByteBuffer> L1Norm(PsServer& server, ByteReader& args) {
   PSG_RETURN_NOT_OK(args.Read(&id));
   PSG_ASSIGN_OR_RETURN(MatrixShard * shard, server.GetShard(id));
   double sum = 0.0;
-  for (const auto& [_, row] : shard->rows) {
-    for (float v : row) sum += std::fabs(v);
-  }
+  const uint32_t cols = shard->slice_cols;
+  (void)shard->rows.ForEach([&](uint64_t, const float* row) {
+    for (uint32_t c = 0; c < cols; ++c) sum += std::fabs(row[c]);
+  });
   ByteBuffer resp;
   resp.Write<double>(sum);
   return resp;
@@ -93,9 +121,12 @@ Result<ByteBuffer> SumSq(PsServer& server, ByteReader& args) {
   PSG_RETURN_NOT_OK(args.Read(&id));
   PSG_ASSIGN_OR_RETURN(MatrixShard * shard, server.GetShard(id));
   double sum = 0.0;
-  for (const auto& [_, row] : shard->rows) {
-    for (float v : row) sum += static_cast<double>(v) * v;
-  }
+  const uint32_t cols = shard->slice_cols;
+  (void)shard->rows.ForEach([&](uint64_t, const float* row) {
+    for (uint32_t c = 0; c < cols; ++c) {
+      sum += static_cast<double>(row[c]) * row[c];
+    }
+  });
   ByteBuffer resp;
   resp.Write<double>(sum);
   return resp;
@@ -114,16 +145,9 @@ Result<ByteBuffer> InitRandn(PsServer& server, ByteReader& args) {
   PSG_RETURN_NOT_OK(args.Read(&scale));
   PSG_RETURN_NOT_OK(args.Read(&seed));
   PSG_ASSIGN_OR_RETURN(MatrixShard * shard, server.GetShard(id));
-  const MatrixMeta& meta = shard->meta;
-
-  Partitioner part(meta.scheme, meta.num_rows, server.num_servers());
   std::vector<uint64_t> one_key(1);
   std::vector<float> row(shard->slice_cols);
-  for (uint64_t key = 0; key < meta.num_rows; ++key) {
-    if (meta.layout == Layout::kRowPartitioned &&
-        part.PartitionOf(key) != server.server_index()) {
-      continue;
-    }
+  PSG_RETURN_NOT_OK(ForEachOwnedKey(server, *shard, [&](uint64_t key) {
     Rng rng(seed ^ Hash64(key));
     // Skip columns before this server's slice so values are
     // layout-independent.
@@ -131,14 +155,13 @@ Result<ByteBuffer> InitRandn(PsServer& server, ByteReader& args) {
     for (uint32_t c = 0; c < shard->slice_cols; ++c) {
       row[c] = static_cast<float>(rng.NextGaussian()) * scale;
     }
-    auto it = shard->rows.find(key);
-    if (it != shard->rows.end()) {
-      it->second = row;
-    } else {
-      one_key[0] = key;
-      PSG_RETURN_NOT_OK(server.PushAssign(id, one_key, row));
+    if (float* stored = shard->rows.Find(key)) {
+      std::copy(row.begin(), row.end(), stored);
+      return Status::OK();
     }
-  }
+    one_key[0] = key;
+    return server.PushAssign(id, one_key, row);
+  }));
   return ByteBuffer();
 }
 
@@ -153,23 +176,16 @@ Result<ByteBuffer> InitFill(PsServer& server, ByteReader& args) {
   PSG_RETURN_NOT_OK(args.Read(&id));
   PSG_RETURN_NOT_OK(args.Read(&value));
   PSG_ASSIGN_OR_RETURN(MatrixShard * shard, server.GetShard(id));
-  const MatrixMeta& meta = shard->meta;
-  Partitioner part(meta.scheme, meta.num_rows, server.num_servers());
   std::vector<uint64_t> one_key(1);
   std::vector<float> row(shard->slice_cols, value);
-  for (uint64_t key = 0; key < meta.num_rows; ++key) {
-    if (meta.layout == Layout::kRowPartitioned &&
-        part.PartitionOf(key) != server.server_index()) {
-      continue;
+  PSG_RETURN_NOT_OK(ForEachOwnedKey(server, *shard, [&](uint64_t key) {
+    if (float* stored = shard->rows.Find(key)) {
+      std::fill(stored, stored + shard->slice_cols, value);
+      return Status::OK();
     }
-    auto it = shard->rows.find(key);
-    if (it != shard->rows.end()) {
-      std::fill(it->second.begin(), it->second.end(), value);
-    } else {
-      one_key[0] = key;
-      PSG_RETURN_NOT_OK(server.PushAssign(id, one_key, row));
-    }
-  }
+    one_key[0] = key;
+    return server.PushAssign(id, one_key, row);
+  }));
   return ByteBuffer();
 }
 
@@ -195,12 +211,12 @@ Result<ByteBuffer> DotPartial(PsServer& server, ByteReader& args) {
   }
   std::vector<double> dots(flat.size() / 2, 0.0);
   for (size_t p = 0; p < dots.size(); ++p) {
-    const std::vector<float>* ra = a->FindRow(flat[2 * p]);
-    const std::vector<float>* rb = b->FindRow(flat[2 * p + 1]);
+    const float* ra = a->rows.Find(flat[2 * p]);
+    const float* rb = b->rows.Find(flat[2 * p + 1]);
     if (ra == nullptr || rb == nullptr) continue;  // init rows: dot with 0
     double s = 0.0;
     for (uint32_t c = 0; c < a->slice_cols; ++c) {
-      s += static_cast<double>((*ra)[c]) * static_cast<double>((*rb)[c]);
+      s += static_cast<double>(ra[c]) * static_cast<double>(rb[c]);
     }
     dots[p] = s;
   }
@@ -239,7 +255,7 @@ Result<ByteBuffer> LineAdjust(PsServer& server, ByteReader& args) {
   std::vector<float> zero_row(w, 0.0f);
   auto ensure_row = [&](MatrixShard* shard, MatrixId id,
                         uint64_t key) -> Status {
-    if (shard->rows.find(key) == shard->rows.end()) {
+    if (!shard->rows.Contains(key)) {
       // Materialize via PushAdd of zeros so memory gets charged once.
       one_key[0] = key;
       PSG_RETURN_NOT_OK(server.PushAdd(id, one_key, zero_row));
@@ -255,10 +271,10 @@ Result<ByteBuffer> LineAdjust(PsServer& server, ByteReader& args) {
     // the same shard.
     PSG_RETURN_NOT_OK(ensure_row(emb, emb_id, ui));
     PSG_RETURN_NOT_OK(ensure_row(ctx, ctx_id, cj));
-    std::vector<float>& u = emb->rows.find(ui)->second;
-    std::vector<float>& c = ctx->rows.find(cj)->second;
+    float* u = emb->rows.Find(ui);
+    float* c = ctx->rows.Find(cj);
     const float g = lr * coeffs[p];
-    std::memcpy(tmp.data(), u.data(), w * sizeof(float));
+    std::copy_n(u, w, tmp.data());
     for (uint32_t k = 0; k < w; ++k) u[k] += g * c[k];
     for (uint32_t k = 0; k < w; ++k) c[k] += g * tmp[k];
   }
@@ -302,9 +318,9 @@ Result<ByteBuffer> AdamApply(PsServer& server, ByteReader& args) {
     PSG_RETURN_NOT_OK(server.PushAdd(v_id, one_key, zeros));
     PSG_ASSIGN_OR_RETURN(MatrixShard * m, server.GetShard(m_id));
     PSG_ASSIGN_OR_RETURN(MatrixShard * v, server.GetShard(v_id));
-    std::vector<float>& wr = w->rows.find(keys[i])->second;
-    std::vector<float>& mr = m->rows.find(keys[i])->second;
-    std::vector<float>& vr = v->rows.find(keys[i])->second;
+    float* wr = w->rows.Find(keys[i]);
+    float* mr = m->rows.Find(keys[i]);
+    float* vr = v->rows.Find(keys[i]);
     const float* g = grads.data() + i * cols;
     for (uint32_t c = 0; c < cols; ++c) {
       mr[c] = beta1 * mr[c] + (1.0f - beta1) * g[c];
@@ -342,8 +358,8 @@ Result<ByteBuffer> AdagradApply(PsServer& server, ByteReader& args) {
     PSG_RETURN_NOT_OK(server.PushAdd(w_id, one_key, zeros));
     PSG_RETURN_NOT_OK(server.PushAdd(g2_id, one_key, zeros));
     PSG_ASSIGN_OR_RETURN(MatrixShard * g2, server.GetShard(g2_id));
-    std::vector<float>& wr = w->rows.find(keys[i])->second;
-    std::vector<float>& sr = g2->rows.find(keys[i])->second;
+    float* wr = w->rows.Find(keys[i]);
+    float* sr = g2->rows.Find(keys[i]);
     const float* g = grads.data() + i * cols;
     for (uint32_t c = 0; c < cols; ++c) {
       sr[c] += g[c] * g[c];

@@ -127,6 +127,16 @@ Status PsServer::InitMatrix(const MatrixMeta& meta) {
     shard.col_begin = 0;
     shard.slice_cols = meta.num_cols;
   }
+  if (meta.kind == StorageKind::kRows &&
+      meta.layout == Layout::kRowPartitioned &&
+      meta.scheme == PartitionScheme::kRange) {
+    auto [begin, end] = Partitioner(meta.scheme, meta.num_rows, num_servers_)
+                            .RangeOf(server_index_, meta.num_rows);
+    shard.rows =
+        RowStore::ForRange(begin, end, shard.slice_cols, meta.init_value);
+  } else {
+    shard.rows = RowStore(shard.slice_cols, meta.init_value);
+  }
   shards_.emplace(meta.id, std::move(shard));
   return Status::OK();
 }
@@ -169,9 +179,10 @@ Status PsServer::PullRows(MatrixId id, std::span<const uint64_t> keys,
   out->resize(base + keys.size() * cols);
   float* dst = out->data() + base;
   for (uint64_t key : keys) {
-    const std::vector<float>* row = shard->FindRow(key);
+    if (!shard->rows.Owns(key)) return NotOwned(*shard, "pull", key);
+    const float* row = shard->rows.Find(key);
     if (row != nullptr) {
-      std::memcpy(dst, row->data(), size_t{cols} * sizeof(float));
+      std::copy_n(row, cols, dst);
     } else {
       std::fill_n(dst, cols, shard->meta.init_value);
     }
@@ -197,7 +208,7 @@ Status PsServer::PushAdd(MatrixId id, std::span<const uint64_t> keys,
         "push_add: values size " + std::to_string(values.size()) +
         " != keys*cols " + std::to_string(keys.size() * shard->slice_cols));
   }
-  PSG_RETURN_NOT_OK(ApplyAddRows(shard, keys, values));
+  PSG_RETURN_NOT_OK(ApplyAddRows(shard, "push_add", keys, values));
   skew().RecordKeyAccess(server_index_, /*is_pull=*/false, keys);
   metrics().Add("ps.rows_pushed", keys.size());
   metrics().Add(pushed_counter_name_, keys.size());
@@ -207,29 +218,55 @@ Status PsServer::PushAdd(MatrixId id, std::span<const uint64_t> keys,
   return Status::OK();
 }
 
-Status PsServer::ApplyAddRows(MatrixShard* shard,
+Status PsServer::NotOwned(const MatrixShard& shard, const char* op,
+                          uint64_t key) const {
+  return Status::InvalidArgument(
+      std::string(op) + ": key " + std::to_string(key) + " of matrix '" +
+      shard.meta.name + "' (id " + std::to_string(shard.meta.id) +
+      ") is not owned by server " + std::to_string(server_index_) +
+      ", which holds rows [" + std::to_string(shard.rows.owned_begin()) +
+      ", " + std::to_string(shard.rows.owned_end()) + ") of " +
+      std::to_string(shard.meta.num_rows));
+}
+
+Result<bool> PsServer::PrepareRowWrite(MatrixShard* shard, const char* op,
+                                       std::span<const uint64_t> keys) {
+  row_ptrs_.resize(keys.size());
+  new_keys_.clear();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint64_t key = keys[i];
+    if (!shard->rows.Owns(key)) return NotOwned(*shard, op, key);
+    row_ptrs_[i] = shard->rows.Find(key);
+    if (row_ptrs_[i] == nullptr) new_keys_.push_back(key);
+  }
+  if (new_keys_.empty()) return false;
+  // A batch may name a new key twice; it is materialized (and charged)
+  // once.
+  if (!std::is_sorted(new_keys_.begin(), new_keys_.end())) {
+    std::sort(new_keys_.begin(), new_keys_.end());
+  }
+  const uint64_t new_rows = static_cast<uint64_t>(
+      std::unique(new_keys_.begin(), new_keys_.end()) - new_keys_.begin());
+  const uint64_t bytes =
+      new_rows *
+      (kHashEntryOverhead + uint64_t{shard->slice_cols} * sizeof(float));
+  PSG_RETURN_NOT_OK(ChargeMemory(bytes, "ps row"));
+  shard->charged_bytes += bytes;
+  return true;
+}
+
+Status PsServer::ApplyAddRows(MatrixShard* shard, const char* op,
                               std::span<const uint64_t> keys,
                               std::span<const float> values) {
   const uint32_t cols = shard->slice_cols;
   ChargeCompute(values.size() / 4 + keys.size());
-  const uint64_t row_bytes =
-      kHashEntryOverhead + uint64_t{cols} * sizeof(float);
-  // Single-pass batched add: one hash probe per key (try_emplace covers
-  // both hit and miss) and a tight accumulate over the contiguous value
-  // slab.
+  PSG_ASSIGN_OR_RETURN(const bool inserts,
+                       PrepareRowWrite(shard, op, keys));
+  // A tight accumulate over the contiguous value slab; keys the batch
+  // materializes start from init_value.
   const float* src = values.data();
   for (size_t i = 0; i < keys.size(); ++i, src += cols) {
-    auto [it, inserted] = shard->rows.try_emplace(keys[i]);
-    if (inserted) {
-      Status st = ChargeMemory(row_bytes, "ps row");
-      if (!st.ok()) {
-        shard->rows.erase(it);
-        return st;
-      }
-      shard->charged_bytes += row_bytes;
-      it->second.assign(cols, shard->meta.init_value);
-    }
-    float* dst = it->second.data();
+    float* dst = BatchRow(shard, inserts, i, keys[i]);
     for (uint32_t c = 0; c < cols; ++c) dst[c] += src[c];
   }
   return Status::OK();
@@ -247,7 +284,7 @@ Status PsServer::MergeRows(MatrixId id, std::span<const uint64_t> keys,
         " != keys*cols " +
         std::to_string(keys.size() * shard->slice_cols));
   }
-  PSG_RETURN_NOT_OK(ApplyAddRows(shard, keys, deltas));
+  PSG_RETURN_NOT_OK(ApplyAddRows(shard, "merge", keys, deltas));
   // Deliberately no skew().RecordKeyAccess: replica management traffic
   // must not feed the profiler that decides what to replicate.
   metrics().Add("ps.merge.rows", keys.size());
@@ -291,25 +328,11 @@ Status PsServer::PushAssign(MatrixId id, std::span<const uint64_t> keys,
   }
   const uint32_t cols = shard->slice_cols;
   ChargeCompute(values.size() / 4 + keys.size());
-  const uint64_t row_bytes =
-      kHashEntryOverhead + uint64_t{cols} * sizeof(float);
+  PSG_ASSIGN_OR_RETURN(const bool inserts,
+                       PrepareRowWrite(shard, "push_assign", keys));
   const float* src = values.data();
   for (size_t i = 0; i < keys.size(); ++i, src += cols) {
-    auto [it, inserted] = shard->rows.try_emplace(keys[i]);
-    if (inserted) {
-      Status st = ChargeMemory(row_bytes, "ps row");
-      if (!st.ok()) {
-        shard->rows.erase(it);
-        return st;
-      }
-      shard->charged_bytes += row_bytes;
-      it->second.resize(cols);
-    }
-    // cols can be 0 for an empty column slice; values.data() is null
-    // then, and memcpy's pointer args must be non-null even for n=0.
-    if (cols != 0) {
-      std::memcpy(it->second.data(), src, size_t{cols} * sizeof(float));
-    }
+    std::copy_n(src, cols, BatchRow(shard, inserts, i, keys[i]));
   }
   skew().RecordKeyAccess(server_index_, /*is_pull=*/false, keys);
   metrics().Add("ps.rows_pushed", keys.size());
@@ -577,10 +600,12 @@ Status PsServer::Checkpoint(const std::string& prefix) {
   for (const auto& [id, shard] : shards_) {
     SerializeMeta(buf, shard.meta);
     buf.Write<uint64_t>(shard.rows.size());
-    for (const auto& [key, row] : shard.rows) {
+    const uint32_t cols = shard.slice_cols;
+    (void)shard.rows.ForEach([&](uint64_t key, const float* row) {
       buf.Write<uint64_t>(key);
-      buf.WriteVector(row);
-    }
+      buf.Write<uint64_t>(cols);
+      buf.WriteRaw(row, size_t{cols} * sizeof(float));
+    });
     buf.Write<uint64_t>(shard.neighbors.size());
     for (const auto& [key, entry] : shard.neighbors) {
       buf.Write<uint64_t>(key);
@@ -632,12 +657,13 @@ Status PsServer::ExportMatrix(MatrixId id, ByteBuffer* out) {
 
   std::vector<uint64_t> keys;
   keys.reserve(shard.rows.size());
-  for (const auto& [key, row] : shard.rows) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
+  (void)shard.rows.ForEach(
+      [&](uint64_t key, const float*) { keys.push_back(key); });
+  if (!shard.rows.dense()) std::sort(keys.begin(), keys.end());
   PutDeltaList(out, keys);
   for (uint64_t key : keys) {
-    const std::vector<float>& row = shard.rows.at(key);
-    out->WriteRaw(row.data(), row.size() * sizeof(float));
+    out->WriteRaw(shard.rows.Find(key),
+                  size_t{shard.slice_cols} * sizeof(float));
   }
 
   if (shard.csr.has_value()) {
@@ -701,14 +727,21 @@ Status PsServer::Restore(const std::string& prefix) {
     PSG_RETURN_NOT_OK(reader.Read(&num_rows));
     const uint64_t row_bytes =
         kHashEntryOverhead + uint64_t{shard.slice_cols} * sizeof(float);
+    std::vector<float> row;
     for (uint64_t i = 0; i < num_rows; ++i) {
       uint64_t key = 0;
-      std::vector<float> row;
       PSG_RETURN_NOT_OK(reader.Read(&key));
       PSG_RETURN_NOT_OK(reader.ReadVector(&row));
+      if (row.size() != shard.slice_cols || !shard.rows.Owns(key) ||
+          shard.rows.Contains(key)) {
+        return Status::IoError(
+            "corrupt checkpoint for server " +
+            std::to_string(server_index_) + ": bad row " +
+            std::to_string(key) + " of matrix '" + meta.name + "'");
+      }
       PSG_RETURN_NOT_OK(ChargeMemory(row_bytes, "ps restore row"));
       shard.charged_bytes += row_bytes;
-      shard.rows.emplace(key, std::move(row));
+      std::copy(row.begin(), row.end(), shard.rows.FindOrInsert(key));
     }
     uint64_t num_entries = 0;
     PSG_RETURN_NOT_OK(reader.Read(&num_entries));

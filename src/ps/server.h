@@ -27,6 +27,7 @@
 #include "common/status.h"
 #include "net/rpc.h"
 #include "ps/matrix_meta.h"
+#include "ps/row_store.h"
 #include "sim/cluster.h"
 #include "storage/hdfs.h"
 
@@ -60,21 +61,16 @@ struct MatrixShard {
   /// matrices, the column slice for column-partitioned ones.
   uint32_t slice_cols = 0;
   uint32_t col_begin = 0;  ///< first column of the slice
-  /// Open-addressing stores (common/flat_hash.h): one flat probe per key
-  /// on the pull/push hot path instead of a node pointer chase. Entries
-  /// relocate on rehash — never hold a row pointer across a mutation of
-  /// the same shard.
-  FlatHashMap<std::vector<float>> rows;
+  /// Float rows of slice_cols floats (ps/row_store.h): a dense paged slab
+  /// over the owned key range for row-partitioned range matrices, an
+  /// open-addressing map otherwise. Sparse rows relocate on rehash —
+  /// never hold a row pointer across an insertion into the same shard.
+  RowStore rows;
+  /// Open-addressing store (common/flat_hash.h), same relocation caveat.
   FlatHashMap<NeighborEntry> neighbors;
   /// Present after FreezeNeighbors(); served in preference to the map.
   std::optional<CsrStore> csr;
   uint64_t charged_bytes = 0;  ///< what this shard holds per the accountant
-
-  /// Returns the stored row, or nullptr if never pushed.
-  const std::vector<float>* FindRow(uint64_t key) const {
-    auto it = rows.find(key);
-    return it == rows.end() ? nullptr : &it->second;
-  }
 };
 
 class PsServer;
@@ -200,11 +196,29 @@ class PsServer {
   Status ChargeMemory(uint64_t bytes, const char* what);
   void ReleaseMemory(uint64_t bytes);
   void ChargeCompute(uint64_t ops);
-  /// The shared add-apply loop of PushAdd and MergeRows: one try_emplace
-  /// probe per key, memory charged on insert, accumulate over the
-  /// contiguous value slab.
-  Status ApplyAddRows(MatrixShard* shard, std::span<const uint64_t> keys,
+  /// Checks a row batch before any of it is applied: every key must be
+  /// owned by the shard (InvalidArgument naming matrix, key and server
+  /// otherwise), and the memory of every distinct row the batch would
+  /// materialize is charged in one allocation. Either step failing leaves
+  /// the shard untouched, so a push or merge is all-or-nothing per server.
+  /// On success `row_ptrs_` holds each key's existing row (nullptr if
+  /// new) and the return value tells whether the batch inserts rows.
+  Result<bool> PrepareRowWrite(MatrixShard* shard, const char* op,
+                               std::span<const uint64_t> keys);
+  /// Row `i` of a batch PrepareRowWrite accepted, materializing it if new.
+  float* BatchRow(MatrixShard* shard, bool inserts, size_t i, uint64_t key) {
+    float* row = row_ptrs_[i];
+    // Without insertions no sparse row has moved since the check; dense
+    // rows never move.
+    if (row != nullptr && (!inserts || shard->rows.dense())) return row;
+    return shard->rows.FindOrInsert(key);
+  }
+  /// The shared add-apply path of PushAdd and MergeRows.
+  Status ApplyAddRows(MatrixShard* shard, const char* op,
+                      std::span<const uint64_t> keys,
                       std::span<const float> values);
+  Status NotOwned(const MatrixShard& shard, const char* op,
+                  uint64_t key) const;
   static uint64_t EntryBytes(const NeighborEntry& e);
 
   /// Observability sinks: the cluster's per-context registries, or the
@@ -242,6 +256,10 @@ class PsServer {
   Arena request_arena_;
   /// Reusable pull response staging (capacity persists across requests).
   std::vector<float> pull_scratch_;
+  /// PrepareRowWrite scratch: per-key existing rows, and the keys a
+  /// batch would materialize.
+  std::vector<float*> row_ptrs_;
+  std::vector<uint64_t> new_keys_;
   /// Per-server counter names (`ps.server<k>.rows_pulled/pushed`), built
   /// once in the ctor so the request hot paths never allocate for them.
   std::string pulled_counter_name_;

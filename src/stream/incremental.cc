@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/byte_buffer.h"
 #include "dataflow/dataset.h"
+#include "ps/contribution_batch.h"
 #include "sim/cost_ledger.h"
 
 namespace psgraph::stream {
@@ -189,13 +189,15 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
   advance_args.Write<ps::MatrixId>(ranks_.id);
 
   int iter = 0;
+  std::vector<ps::ContributionBatch<float>> updates(E);
+  ps::ContributionBatch<double> merged;
   while (!frontier.empty() && iter < opts_.max_iterations) {
     touched.insert(frontier.begin(), frontier.end());
     stats.frontier_total += frontier.size();
 
     // Sweep phase: each executor pulls its frontier chunk's residuals
     // and (mutable) adjacency and accumulates contributions locally.
-    std::vector<std::unordered_map<uint64_t, float>> updates(E);
+    for (auto& batch : updates) batch.clear();
     std::vector<uint64_t> edges_done(E, 0);
     PSG_RETURN_NOT_OK(dataflow::RunPartitioned(
         &ctx_->dataflow(), E, [&](int32_t e) -> Status {
@@ -209,18 +211,20 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
           PSG_ASSIGN_OR_RETURN(
               std::vector<ps::NeighborEntry> adj,
               ctx_->agent(e).PullNeighbors(adjacency_, keys));
-          auto& local = updates[e];
           uint64_t edges_processed = 0;
-          for (size_t i = 0; i < keys.size(); ++i) {
-            const double d = ds[i];
-            if (std::fabs(d) <= opts_.prune_epsilon) continue;
-            const auto& dsts = adj[i].neighbors;
-            if (dsts.empty()) continue;
-            const float contrib = static_cast<float>(
-                damp * d / static_cast<double>(dsts.size()));
-            for (uint64_t dst : dsts) local[dst] += contrib;
-            edges_processed += dsts.size();
-          }
+          PSG_RETURN_NOT_OK(ps::AccumulateInto(
+              num_vertices_, &updates[e], [&](auto& acc) {
+                for (size_t i = 0; i < keys.size(); ++i) {
+                  const double d = ds[i];
+                  if (std::fabs(d) <= opts_.prune_epsilon) continue;
+                  const auto& dsts = adj[i].neighbors;
+                  if (dsts.empty()) continue;
+                  const float contrib = static_cast<float>(
+                      damp * d / static_cast<double>(dsts.size()));
+                  for (uint64_t dst : dsts) acc.Add(dst, contrib);
+                  edges_processed += dsts.size();
+                }
+              }));
           edges_done[static_cast<size_t>(e)] = edges_processed;
           ctx_->cluster().clock().Advance(
               ctx_->cluster().config().executor(e),
@@ -238,20 +242,13 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
                                static_cast<double>(epoch_));
     ++step_;
 
-    // Push phase: the new residuals, sorted per executor for a stable
-    // wire image and apply order.
+    // Push phase: the new residuals, key-sorted per executor for a
+    // stable wire image and apply order.
     PSG_RETURN_NOT_OK(dataflow::RunPartitioned(
         &ctx_->dataflow(), E, [&](int32_t e) -> Status {
-          auto& local = updates[e];
-          if (local.empty()) return Status::OK();
-          std::vector<uint64_t> keys;
-          keys.reserve(local.size());
-          for (const auto& [dst, _] : local) keys.push_back(dst);
-          std::sort(keys.begin(), keys.end());
-          std::vector<float> values;
-          values.reserve(keys.size());
-          for (uint64_t k : keys) values.push_back(local[k]);
-          return ctx_->agent(e).PushAdd(deltas_, keys, values);
+          if (updates[e].empty()) return Status::OK();
+          return ctx_->agent(e).PushAdd(deltas_, updates[e].keys,
+                                        updates[e].values);
         }));
 
     // Next frontier: destinations whose RECEIVED residual is itself
@@ -262,20 +259,22 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
     // include the whole one-hop halo of the wave and `touched` would
     // saturate on small-world graphs. The merge iterates executors in
     // index order, so the sums are thread-count independent.
+    merged.clear();
+    PSG_RETURN_NOT_OK(
+        ps::AccumulateInto(num_vertices_, &merged, [&](auto& acc) {
+          for (const auto& batch : updates) {
+            for (size_t i = 0; i < batch.size(); ++i) {
+              acc.Add(batch.keys[i], static_cast<double>(batch.values[i]));
+            }
+          }
+        }));
     std::vector<uint64_t> next;
-    {
-      std::unordered_map<uint64_t, double> merged;
-      for (const auto& local : updates) {
-        for (const auto& [dst, v] : local) {
-          merged[dst] += static_cast<double>(v);
-        }
-      }
-      next.reserve(merged.size());
-      for (const auto& [dst, v] : merged) {
-        if (std::fabs(v) > opts_.prune_epsilon) next.push_back(dst);
+    next.reserve(merged.size());
+    for (size_t i = 0; i < merged.size(); ++i) {
+      if (std::fabs(merged.values[i]) > opts_.prune_epsilon) {
+        next.push_back(merged.keys[i]);
       }
     }
-    std::sort(next.begin(), next.end());
     for (uint64_t e : edges_done) stats.edges_processed += e;
 
     ctx_->sync().IterationBarrier();

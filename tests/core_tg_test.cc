@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/fast_unfolding.h"
 #include "core/graph_loader.h"
@@ -141,6 +143,141 @@ TEST_F(CoreTgTest, PageRankMatchesConvergedReference) {
   for (VertexId v = 0; v < n; ++v) {
     EXPECT_NEAR(result->ranks[v], expect[v], 5e-3) << "vertex " << v;
   }
+}
+
+// Executor-side contribution accumulation (ps/contribution_batch.h) with
+// three neighbor-table partitions per executor, so every executor's
+// running batch is re-scattered before its second and third partition.
+// The graph only links vertices whose sources land on the same executor,
+// so no destination is pushed by two executors and the ranks do not
+// depend on cross-executor push arrival order: they must be bit-identical
+// to a float reference that accumulates in per-executor unordered_maps
+// in partition order, at one and at four engine threads.
+TEST(PageRankAccumulatorTest, RescatteredBatchesMatchHashMapReference) {
+  constexpr int32_t kExecutors = 3;
+  constexpr int32_t kParts = 3 * kExecutors;
+  constexpr VertexId kN = 240;
+  constexpr int kIters = 6;
+  auto make_ctx = [] {
+    auto ctx = PsGraphContext::Create(SmallOptions());
+    PSG_CHECK_OK(ctx.status());
+    return std::move(*ctx);
+  };
+
+  // Which executor each vertex's neighbor table lands on: GroupByKey
+  // places a key by its hash alone, whatever the edges are.
+  std::vector<int32_t> exec_of(kN);
+  {
+    auto ctx = make_ctx();
+    EdgeList probe;
+    for (VertexId v = 0; v < kN; ++v) probe.push_back({v, v});
+    auto nbr = ToNeighborTables(dataflow::Dataset<Edge>::FromVector(
+        &ctx->dataflow(), probe, kParts));
+    for (int32_t p = 0; p < kParts; ++p) {
+      auto part = nbr.ComputePartition(p);
+      ASSERT_TRUE(part.ok());
+      for (const NeighborPair& t : *part) exec_of[t.first] = p % kExecutors;
+    }
+  }
+  std::vector<std::vector<VertexId>> by_exec(kExecutors);
+  for (VertexId v = 0; v < kN; ++v) by_exec[exec_of[v]].push_back(v);
+  EdgeList edges;
+  Rng rng(11);
+  for (const auto& group : by_exec) {
+    ASSERT_GE(group.size(), 2u);
+    for (size_t i = 0; i < group.size() * 6; ++i) {
+      VertexId a = group[rng.NextBounded(group.size())];
+      VertexId b = group[rng.NextBounded(group.size())];
+      if (a != b) edges.push_back({a, b});
+    }
+  }
+
+  PageRankOptions opts;
+  opts.max_iterations = kIters;
+  struct Run {
+    std::vector<double> ranks;
+    uint64_t rows_pushed = 0;
+    uint64_t rpc_req_bytes = 0;
+    int64_t makespan = 0;
+  };
+  auto run = [&](size_t threads) {
+    SetGlobalParallelism(threads);
+    auto ctx = make_ctx();
+    auto result = PageRank(*ctx,
+                           dataflow::Dataset<Edge>::FromVector(
+                               &ctx->dataflow(), edges, kParts),
+                           kN, opts);
+    SetGlobalParallelism(0);
+    PSG_CHECK_OK(result.status());
+    Run r;
+    r.ranks = result->ranks;
+    r.rows_pushed = ctx->metrics().Get("ps.rows_pushed");
+    for (const auto& m : ctx->cluster().rpc_telemetry().Snapshot()) {
+      r.rpc_req_bytes += m.request_bytes;
+    }
+    r.makespan = ctx->cluster().clock().MakespanTicks();
+    return r;
+  };
+
+  // Reference: the same neighbor-table partitions, scattered into one
+  // std::unordered_map per executor in ascending partition order.
+  std::vector<std::vector<NeighborPair>> parts(kParts);
+  {
+    auto ctx = make_ctx();
+    auto nbr = ToNeighborTables(dataflow::Dataset<Edge>::FromVector(
+        &ctx->dataflow(), edges, kParts));
+    for (int32_t p = 0; p < kParts; ++p) {
+      auto part = nbr.ComputePartition(p);
+      ASSERT_TRUE(part.ok());
+      parts[p] = *part;
+    }
+  }
+  const double damp = 1.0 - opts.reset_prob;
+  std::vector<float> delta(kN, static_cast<float>(opts.reset_prob));
+  std::vector<float> rank(kN, 0.0f);
+  uint64_t rows_pushed = kN;  // init.fill materializes every delta row
+  auto advance = [&] {
+    for (VertexId v = 0; v < kN; ++v) {
+      if (delta[v] == 0.0f) continue;
+      rank[v] += delta[v];
+      delta[v] = 0.0f;
+      ++rows_pushed;
+    }
+  };
+  for (int it = 0; it < kIters; ++it) {
+    std::vector<std::unordered_map<VertexId, float>> local(kExecutors);
+    for (int32_t p = 0; p < kParts; ++p) {
+      for (const auto& [src, dsts] : parts[p]) {
+        const double d = delta[src];
+        if (d == 0.0 || dsts.empty()) continue;
+        const float contrib =
+            static_cast<float>(damp * d / static_cast<double>(dsts.size()));
+        for (VertexId dst : dsts) local[p % kExecutors][dst] += contrib;
+      }
+    }
+    advance();
+    for (const auto& m : local) {
+      for (const auto& [dst, u] : m) delta[dst] += u;
+      rows_pushed += m.size();
+    }
+  }
+  advance();
+
+  const Run t1 = run(1);
+  const Run t4 = run(4);
+  ASSERT_EQ(t1.ranks.size(), static_cast<size_t>(kN));
+  for (VertexId v = 0; v < kN; ++v) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(t1.ranks[v]),
+              std::bit_cast<uint64_t>(static_cast<double>(rank[v])))
+        << "vertex " << v;
+    EXPECT_EQ(std::bit_cast<uint64_t>(t4.ranks[v]),
+              std::bit_cast<uint64_t>(t1.ranks[v]))
+        << "vertex " << v;
+  }
+  EXPECT_EQ(t1.rows_pushed, rows_pushed);
+  EXPECT_EQ(t4.rows_pushed, rows_pushed);
+  EXPECT_EQ(t4.rpc_req_bytes, t1.rpc_req_bytes);
+  EXPECT_EQ(t4.makespan, t1.makespan);
 }
 
 TEST_F(CoreTgTest, PageRankAgreesWithGraphxBaseline) {

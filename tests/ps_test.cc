@@ -401,26 +401,202 @@ TEST_F(PsTest, DropMatrixReleasesMemory) {
   EXPECT_EQ(after, 0u);
 }
 
+// A push that does not fit the server budget fails as a whole: no row of
+// the batch is applied (ps.merge's per-server all-or-nothing contract
+// rests on this), for both row layouts and both push kinds.
 TEST_F(PsTest, ServerMemoryBudgetEnforced) {
+  for (PartitionScheme scheme :
+       {PartitionScheme::kRange, PartitionScheme::kHash}) {
+    for (bool add : {true, false}) {
+      sim::ClusterConfig cfg;
+      cfg.num_executors = 1;
+      cfg.num_servers = 1;
+      cfg.server_mem_bytes = 32 << 10;
+      sim::SimCluster tiny(cfg);
+      net::RpcFabric fabric(&tiny);
+      PsContext psctx(&tiny, &fabric, nullptr);
+      ASSERT_TRUE(psctx.Start().ok());
+      auto meta = psctx.CreateMatrix("big", 1 << 20, 16, StorageKind::kRows,
+                                     Layout::kRowPartitioned, scheme, 0.25f);
+      ASSERT_TRUE(meta.ok());
+      PsAgent agent(&psctx, tiny.config().executor(0));
+      std::vector<uint64_t> keys;
+      std::vector<float> vals;
+      for (uint64_t k = 0; k < 4096; ++k) {
+        keys.push_back(k);
+        for (int c = 0; c < 16; ++c) vals.push_back(1.0f);
+      }
+      Status st = add ? agent.PushAdd(*meta, keys, vals)
+                      : agent.PushAssign(*meta, keys, vals);
+      EXPECT_TRUE(st.IsMemoryLimitExceeded()) << st.ToString();
+      EXPECT_EQ(tiny.memory().Usage(psctx.ServerNode(0)), 0u);
+      auto rows = agent.PullRows(*meta, keys);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      ASSERT_EQ(rows->size(), vals.size());
+      for (size_t i = 0; i < rows->size(); ++i) {
+        ASSERT_EQ((*rows)[i], 0.25f) << "float " << i << " was applied";
+      }
+      auto shard = psctx.server(0)->GetShard(meta->id);
+      ASSERT_TRUE(shard.ok());
+      EXPECT_EQ((*shard)->rows.size(), 0u);
+      EXPECT_EQ((*shard)->charged_bytes, 0u);
+    }
+  }
+}
+
+// Range-partitioned row matrices live in a dense slab per server that
+// covers exactly the keys the partitioner routes there; a mis-routed key
+// or one beyond num_rows is an error naming the matrix, key and server,
+// and nothing of the batch is applied.
+TEST_F(PsTest, SlabShardRejectsKeysItDoesNotOwn) {
+  auto meta = ctx_->CreateMatrix("owned", 30, 2);
+  ASSERT_TRUE(meta.ok());
+  PsServer* s0 = ctx_->server(0);
+  auto shard = s0->GetShard(meta->id);
+  ASSERT_TRUE(shard.ok());
+  ASSERT_TRUE((*shard)->rows.dense());
+  EXPECT_EQ((*shard)->rows.owned_begin(), 0u);
+  EXPECT_EQ((*shard)->rows.owned_end(), 10u);
+
+  const std::vector<uint64_t> keys{3, 15};
+  const std::vector<float> vals{1, 2, 3, 4};
+  Status st = s0->PushAdd(meta->id, keys, vals);
+  ASSERT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("'owned'"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("key 15"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("server 0"), std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE((*shard)->rows.Contains(3)) << "key 3 applied before the error";
+  EXPECT_EQ(s0->PushAssign(meta->id, keys, vals).code(),
+            StatusCode::kInvalidArgument);
+  std::vector<float> out;
+  EXPECT_EQ(s0->PullRows(meta->id, keys, &out).code(),
+            StatusCode::kInvalidArgument);
+
+  // num_rows and beyond clamp onto the last server, which holds [20, 30).
+  Status beyond = agent_->PushAdd(*meta, {30}, {1, 1});
+  ASSERT_EQ(beyond.code(), StatusCode::kInvalidArgument)
+      << beyond.ToString();
+  EXPECT_NE(beyond.message().find("key 30"), std::string::npos);
+  EXPECT_NE(beyond.message().find("server 2"), std::string::npos);
+  EXPECT_TRUE(agent_->PushAdd(*meta, {29}, {1, 1}).ok());
+
+  // Hash matrices keep accepting any key on any server.
+  auto hashed = ctx_->CreateMatrix("hashed", 30, 2, StorageKind::kRows,
+                                   Layout::kRowPartitioned,
+                                   PartitionScheme::kHash);
+  ASSERT_TRUE(hashed.ok());
+  EXPECT_TRUE(s0->PushAdd(hashed->id, keys, vals).ok());
+}
+
+// The slab and the hash store hold the same state the same way as far as
+// anything outside the server can tell: reads of never-pushed rows,
+// simulated memory, checkpoints, and snapshot export bytes.
+TEST(RowStoreTest, SlabMatchesHashStore) {
+  struct Stack {
+    explicit Stack(PartitionScheme scheme) {
+      sim::ClusterConfig cfg;
+      cfg.num_executors = 1;
+      cfg.num_servers = 1;
+      cfg.server_mem_bytes = 64ull << 20;
+      cluster = std::make_unique<sim::SimCluster>(cfg);
+      hdfs = std::make_unique<storage::Hdfs>(cluster.get());
+      fabric = std::make_unique<net::RpcFabric>(cluster.get());
+      ctx = std::make_unique<PsContext>(cluster.get(), fabric.get(),
+                                        hdfs.get());
+      PSG_CHECK_OK(ctx->Start());
+      auto m = ctx->CreateMatrix("w", 50000, 3, StorageKind::kRows,
+                                 Layout::kRowPartitioned, scheme, -1.0f);
+      PSG_CHECK_OK(m.status());
+      meta = *m;
+      agent = std::make_unique<PsAgent>(ctx.get(),
+                                        cluster->config().executor(0));
+    }
+    MatrixShard* shard() { return *ctx->server(0)->GetShard(meta.id); }
+    std::unique_ptr<sim::SimCluster> cluster;
+    std::unique_ptr<storage::Hdfs> hdfs;
+    std::unique_ptr<net::RpcFabric> fabric;
+    std::unique_ptr<PsContext> ctx;
+    std::unique_ptr<PsAgent> agent;
+    MatrixMeta meta;
+  };
+  Stack slab(PartitionScheme::kRange);
+  Stack hash(PartitionScheme::kHash);
+  ASSERT_TRUE(slab.shard()->rows.dense());
+  ASSERT_FALSE(hash.shard()->rows.dense());
+
+  // Unsorted, with a repeated new key, spread over several slab pages.
+  const std::vector<uint64_t> keys{49999, 7, 30000, 7, 12, 0, 20000};
+  std::vector<float> vals;
+  for (size_t i = 0; i < keys.size() * 3; ++i) vals.push_back(0.5f * i);
+  for (Stack* st : {&slab, &hash}) {
+    ASSERT_TRUE(st->agent->PushAdd(st->meta, keys, vals).ok());
+    ASSERT_TRUE(st->agent->PushAssign(st->meta, {12}, {9, 8, 7}).ok());
+    ASSERT_TRUE(st->agent->PushAdd(st->meta, {13, 0}, {1, 1, 1, 1, 1, 1})
+                    .ok());
+  }
+  const std::vector<uint64_t> probe{0, 1, 7, 12, 13, 14, 20000, 49998,
+                                    49999};
+  auto slab_rows = slab.agent->PullRows(slab.meta, probe);
+  auto hash_rows = hash.agent->PullRows(hash.meta, probe);
+  ASSERT_TRUE(slab_rows.ok() && hash_rows.ok());
+  EXPECT_EQ(*slab_rows, *hash_rows);
+  for (int c = 0; c < 3; ++c) EXPECT_EQ((*slab_rows)[3 + c], -1.0f);
+
+  const sim::NodeId node = slab.ctx->ServerNode(0);
+  EXPECT_EQ(slab.shard()->rows.size(), 7u);
+  EXPECT_EQ(slab.shard()->rows.size(), hash.shard()->rows.size());
+  EXPECT_EQ(slab.shard()->charged_bytes, hash.shard()->charged_bytes);
+  EXPECT_EQ(slab.cluster->memory().Peak(node),
+            hash.cluster->memory().Peak(node));
+
+  ByteBuffer slab_export, hash_export;
+  ASSERT_TRUE(slab.ctx->server(0)->ExportMatrix(slab.meta.id, &slab_export)
+                  .ok());
+  ASSERT_TRUE(hash.ctx->server(0)->ExportMatrix(hash.meta.id, &hash_export)
+                  .ok());
+  EXPECT_EQ(slab_export.data(), hash_export.data());
+
+  // Checkpoint, clobber, restore: same rows, same charge, still a slab.
+  PsServer* server = slab.ctx->server(0);
+  const uint64_t charged = slab.shard()->charged_bytes;
+  ASSERT_TRUE(server->Checkpoint("ckpt/slab").ok());
+  ASSERT_TRUE(slab.agent->PushAdd(slab.meta, {7, 40000}, {1, 1, 1, 1, 1, 1})
+                  .ok());
+  ASSERT_TRUE(server->Restore("ckpt/slab").ok());
+  ASSERT_TRUE(slab.shard()->rows.dense());
+  EXPECT_EQ(slab.shard()->charged_bytes, charged);
+  EXPECT_EQ(slab.cluster->memory().Usage(node), charged);
+  auto restored = slab.agent->PullRows(slab.meta, probe);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(*restored, *hash_rows);
+  EXPECT_FALSE(slab.shard()->rows.Contains(40000));
+}
+
+TEST(RowStoreTest, SlabAllocatesOnlyTouchedPages) {
   sim::ClusterConfig cfg;
   cfg.num_executors = 1;
   cfg.num_servers = 1;
-  cfg.server_mem_bytes = 32 << 10;
-  sim::SimCluster tiny(cfg);
-  net::RpcFabric fabric(&tiny);
-  PsContext psctx(&tiny, &fabric, nullptr);
+  cfg.server_mem_bytes = 64ull << 20;
+  sim::SimCluster cluster(cfg);
+  net::RpcFabric fabric(&cluster);
+  PsContext psctx(&cluster, &fabric, nullptr);
   ASSERT_TRUE(psctx.Start().ok());
-  auto meta = psctx.CreateMatrix("big", 1 << 20, 16);
+  auto meta = psctx.CreateMatrix("sparse_ids", 1 << 20, 1);
   ASSERT_TRUE(meta.ok());
-  PsAgent agent(&psctx, tiny.config().executor(0));
-  std::vector<uint64_t> keys;
-  std::vector<float> vals;
-  for (uint64_t k = 0; k < 4096; ++k) {
-    keys.push_back(k);
-    for (int c = 0; c < 16; ++c) vals.push_back(1.0f);
-  }
-  Status st = agent.PushAdd(*meta, keys, vals);
-  EXPECT_TRUE(st.IsMemoryLimitExceeded()) << st.ToString();
+  PsAgent agent(&psctx, cluster.config().executor(0));
+  const MatrixShard* shard = *psctx.server(0)->GetShard(meta->id);
+  ASSERT_TRUE(shard->rows.dense());
+  EXPECT_EQ(shard->rows.allocated_pages(), 0u);
+  // 1-float rows: 16384 to a 64 KiB page. Keys 5 and 6 share page 0.
+  ASSERT_TRUE(
+      agent.PushAdd(*meta, {5, 6, 500000, (1 << 20) - 1}, {1, 2, 3, 4}).ok());
+  EXPECT_EQ(shard->rows.allocated_pages(), 3u);
+  EXPECT_EQ(shard->rows.size(), 4u);
+  auto rows = agent.PullRows(*meta, {4, 5, 6, 500000, 500001});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, (std::vector<float>{0, 1, 2, 3, 0}));
+  EXPECT_EQ(shard->rows.allocated_pages(), 3u) << "a pull allocated a page";
 }
 
 TEST_F(PsTest, SyncControllerSspBarriersEveryNthCall) {
