@@ -69,6 +69,43 @@ class ByteBuffer {
   std::vector<uint8_t> data_;
 };
 
+/// Writes ByteBuffer's encoding in place into caller-owned memory. The
+/// caller sizes the destination exactly beforehand (the dataflow shuffle
+/// uses SerializedSizeOf), so writes are not bounds-checked.
+class SpanWriter {
+ public:
+  explicit SpanWriter(uint8_t* dst) : pos_(dst) {}
+
+  /// One past the last byte written.
+  uint8_t* position() const { return pos_; }
+
+  template <typename T>
+  void Write(T v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    WriteRaw(&v, sizeof(T));
+  }
+
+  void WriteString(const std::string& s) {
+    Write<uint64_t>(s.size());
+    WriteRaw(s.data(), s.size());
+  }
+
+  template <typename T, typename Alloc>
+  void WriteVector(const std::vector<T, Alloc>& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Write<uint64_t>(v.size());
+    WriteRaw(v.data(), v.size() * sizeof(T));
+  }
+
+  void WriteRaw(const void* src, size_t n) {
+    if (n > 0) std::memcpy(pos_, src, n);
+    pos_ += n;
+  }
+
+ private:
+  uint8_t* pos_;
+};
+
 /// Bounds-checked reader over a byte span produced by ByteBuffer.
 class ByteReader {
  public:

@@ -4,53 +4,6 @@
 
 namespace psgraph::dataflow {
 
-void ShuffleService::PutBlock(uint64_t shuffle_id, int32_t map_part,
-                              int32_t reduce_part,
-                              std::vector<uint8_t> bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  blocks_[{shuffle_id, map_part, reduce_part}] = std::move(bytes);
-}
-
-Result<std::vector<uint8_t>> ShuffleService::GetBlock(
-    uint64_t shuffle_id, int32_t map_part, int32_t reduce_part) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = blocks_.find({shuffle_id, map_part, reduce_part});
-  if (it == blocks_.end()) {
-    return Status::NotFound("shuffle block (" + std::to_string(shuffle_id) +
-                            "," + std::to_string(map_part) + "," +
-                            std::to_string(reduce_part) + ") missing");
-  }
-  return it->second;
-}
-
-void ShuffleService::DropShuffle(uint64_t shuffle_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = blocks_.lower_bound({shuffle_id, 0, 0});
-  while (it != blocks_.end() && std::get<0>(it->first) == shuffle_id) {
-    it = blocks_.erase(it);
-  }
-}
-
-Result<uint64_t> ShuffleService::BlockSize(uint64_t shuffle_id,
-                                           int32_t map_part,
-                                           int32_t reduce_part) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = blocks_.find({shuffle_id, map_part, reduce_part});
-  if (it == blocks_.end()) {
-    return Status::NotFound("shuffle block (" + std::to_string(shuffle_id) +
-                            "," + std::to_string(map_part) + "," +
-                            std::to_string(reduce_part) + ") missing");
-  }
-  return static_cast<uint64_t>(it->second.size());
-}
-
-uint64_t ShuffleService::TotalBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [_, bytes] : blocks_) total += bytes.size();
-  return total;
-}
-
 void DataflowContext::ChargeCompute(int32_t partition, uint64_t ops) {
   if (!cluster_) return;
   const double t = cluster_->cost().ComputeTime(ops);
@@ -66,21 +19,18 @@ void DataflowContext::ChargeDiskWrite(int32_t partition, uint64_t bytes) {
   cluster_->skew().RecordPartitionTicks(partition, sim::SimClock::TicksOf(t));
 }
 
-void DataflowContext::ChargeDiskRead(int32_t partition, uint64_t bytes) {
-  if (!cluster_) return;
-  metrics().Add("dataflow.shuffle_bytes_read", bytes);
+void DataflowContext::ChargeDiskReadTime(int32_t partition,
+                                         uint64_t bytes) {
   const double t = cluster_->cost().DiskReadTime(bytes);
   cluster_->clock().Advance(ExecutorOf(partition), t);
   cluster_->skew().RecordPartitionTicks(partition, sim::SimClock::TicksOf(t));
 }
 
-void DataflowContext::ChargeTransfer(int32_t from_part, int32_t to_part,
-                                     uint64_t bytes) {
-  if (!cluster_) return;
+bool DataflowContext::ChargeTransferTime(int32_t from_part,
+                                         int32_t to_part, uint64_t bytes) {
   int32_t from = ExecutorOf(from_part);
   int32_t to = ExecutorOf(to_part);
-  if (from == to) return;  // local fetch
-  metrics().Add("dataflow.network_bytes", bytes);
+  if (from == to) return false;  // local fetch
   double t = cluster_->cost().NetworkTime(bytes);
   const int64_t wire = sim::SimClock::TicksOf(t);
   cluster_->clock().Advance(from, t);
@@ -90,6 +40,7 @@ void DataflowContext::ChargeTransfer(int32_t from_part, int32_t to_part,
       to, cluster_->clock().NowTicks(from));
   cluster_->cost_ledger().Record(to, sim::CostCategory::kRpcWait, jump);
   cluster_->skew().RecordPartitionTicks(from_part, wire);
+  return true;
 }
 
 Status DataflowContext::AllocatePartitionMemory(int32_t partition,

@@ -14,9 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "common/metrics.h"
@@ -26,31 +23,6 @@
 #include "sim/cluster.h"
 
 namespace psgraph::dataflow {
-
-/// Storage for shuffle blocks: (shuffle id, map partition, reduce
-/// partition) -> serialized bytes. Blocks live on the *map* executor's
-/// local disk in Spark; block size is tracked so fetches can be charged.
-class ShuffleService {
- public:
-  void PutBlock(uint64_t shuffle_id, int32_t map_part, int32_t reduce_part,
-                std::vector<uint8_t> bytes);
-  /// NotFound if the block was never written (or was dropped).
-  Result<std::vector<uint8_t>> GetBlock(uint64_t shuffle_id,
-                                        int32_t map_part,
-                                        int32_t reduce_part) const;
-  /// Size in bytes of one block; NotFound if missing. Lets the shuffle
-  /// fetch-accounting pass charge transfers without copying payloads.
-  Result<uint64_t> BlockSize(uint64_t shuffle_id, int32_t map_part,
-                             int32_t reduce_part) const;
-  /// Frees all blocks of one shuffle.
-  void DropShuffle(uint64_t shuffle_id);
-  uint64_t TotalBytes() const;
-
- private:
-  using Key = std::tuple<uint64_t, int32_t, int32_t>;
-  mutable std::mutex mu_;
-  std::map<Key, std::vector<uint8_t>> blocks_;
-};
 
 class DataflowContext {
  public:
@@ -76,18 +48,40 @@ class DataflowContext {
     return partition % num_executors();
   }
 
-  ShuffleService& shuffle() { return shuffle_; }
-  uint64_t NextShuffleId() { return next_shuffle_id_.fetch_add(1); }
-
   /// CPU accounting: charges `ops` record-operations to the executor that
   /// owns `partition`.
   void ChargeCompute(int32_t partition, uint64_t ops);
   /// Disk accounting on the partition's executor.
   void ChargeDiskWrite(int32_t partition, uint64_t bytes);
-  void ChargeDiskRead(int32_t partition, uint64_t bytes);
-  /// Transfer of `bytes` from the executor of `from_part` to the executor
-  /// of `to_part`; local if both map to the same executor.
-  void ChargeTransfer(int32_t from_part, int32_t to_part, uint64_t bytes);
+
+  /// Reduce-side fetch of one whole shuffle, block by block in
+  /// reducer-major order: block (m, r) of `block_bytes(m, r)` bytes is
+  /// read from disk on map partition m's executor, then transferred to
+  /// reduce partition r's executor (free when both are one executor).
+  /// Clock, cost-ledger and skew charges stay per block, because tick
+  /// rounding per charge is part of the simulation; the byte counters are
+  /// added once per shuffle.
+  template <typename BlockBytes>
+  void ChargeShuffleFetch(int32_t num_maps, int32_t num_reducers,
+                          const BlockBytes& block_bytes) {
+    if (!cluster_ || num_maps <= 0 || num_reducers <= 0) return;
+    uint64_t read = 0;
+    uint64_t network = 0;
+    bool remote = false;
+    for (int32_t r = 0; r < num_reducers; ++r) {
+      for (int32_t m = 0; m < num_maps; ++m) {
+        const uint64_t bytes = block_bytes(m, r);
+        ChargeDiskReadTime(m, bytes);
+        read += bytes;
+        if (ChargeTransferTime(m, r, bytes)) {
+          remote = true;
+          network += bytes;
+        }
+      }
+    }
+    metrics().Add("dataflow.shuffle_bytes_read", read);
+    if (remote) metrics().Add("dataflow.network_bytes", network);
+  }
 
   /// Memory accounting on the owning executor; OOM surfaces as
   /// MemoryLimitExceeded, which aborts the job like a Spark executor OOM.
@@ -109,9 +103,13 @@ class DataflowContext {
   }
 
  private:
+  void ChargeDiskReadTime(int32_t partition, uint64_t bytes);
+  /// Transfer of `bytes` from the executor of `from_part` to the executor
+  /// of `to_part`. Returns false (and charges nothing) for a local fetch.
+  bool ChargeTransferTime(int32_t from_part, int32_t to_part,
+                          uint64_t bytes);
+
   sim::SimCluster* cluster_;
-  ShuffleService shuffle_;
-  std::atomic<uint64_t> next_shuffle_id_{1};
   // Sized once in the constructor, never resized (atomics cannot move).
   std::vector<std::atomic<uint64_t>> executor_epochs_;
 };

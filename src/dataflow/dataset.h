@@ -20,6 +20,7 @@
 #define PSGRAPH_DATAFLOW_DATASET_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -337,9 +338,12 @@ class CacheNode final : public Node<T> {
   std::vector<Slot> slots_;
 };
 
-/// Runs the map side of a shuffle once: partitions parent records by key
-/// hash into per-reducer blocks. `Combine` is an optional map-side
-/// combiner (nullptr -> none).
+/// Runs the map side of a shuffle once and owns its output. As in Spark's
+/// consolidated shuffle file, map task m writes one contiguous buffer plus
+/// an index of num_reducers + 1 offsets; block (m, r) is the span
+/// [offsets[r], offsets[r + 1]) of that buffer, and reducers read it in
+/// place. The output is freed with the lineage node that owns the writer.
+/// `Combine` is an optional map-side combiner (nullptr -> none).
 template <typename K, typename V>
 class ShuffleWriter {
  public:
@@ -351,23 +355,39 @@ class ShuffleWriter {
       : ctx_(ctx),
         parent_(std::move(parent)),
         num_reducers_(num_reducers),
-        combiner_(std::move(combiner)),
-        shuffle_id_(ctx_->NextShuffleId()) {}
+        combiner_(std::move(combiner)) {}
 
-  uint64_t shuffle_id() const { return shuffle_id_; }
   int32_t num_map_partitions() const { return parent_->num_partitions(); }
 
   /// Idempotent and thread-safe: the first caller runs the whole map
   /// stage (concurrent reducers block on the once-guard until it
-  /// finishes); every caller shares the resulting status.
+  /// finishes, which also publishes the output to them); every caller
+  /// shares the resulting status.
   Status EnsureWritten() {
     std::call_once(once_, [&] { map_status_ = WriteAll(); });
     return map_status_;
   }
 
+  /// Reader over block (m, r); valid once EnsureWritten() returned OK.
+  ByteReader BlockReader(int32_t m, int32_t r) const {
+    const MapOutput& out = outputs_[m];
+    return ByteReader(out.bytes.get() + out.offsets[r], out.BlockBytes(r));
+  }
+
  private:
+  struct MapOutput {
+    std::unique_ptr<uint8_t[]> bytes;
+    std::vector<uint64_t> offsets;  // num_reducers + 1 entries
+
+    uint64_t BlockBytes(int32_t r) const {
+      return offsets[r + 1] - offsets[r];
+    }
+  };
+
   Status WriteAll() {
     const int32_t num_maps = parent_->num_partitions();
+    // Presized once; each map task fills only its own slot.
+    outputs_.resize(num_maps);
     PSG_RETURN_NOT_OK(RunPartitioned(
         ctx_, num_maps, [&](int32_t m) { return WriteMapPartition(m); }));
     ctx_->StageBarrier();  // shuffle map side ends a stage
@@ -380,14 +400,10 @@ class ShuffleWriter {
     // Consequence: a reduce partition recomputed through lineage does
     // not pay the fetch again — the ledger treats the shuffle files as
     // already delivered.
-    for (int32_t r = 0; r < num_reducers_; ++r) {
-      for (int32_t m = 0; m < num_maps; ++m) {
-        PSG_ASSIGN_OR_RETURN(uint64_t bytes,
-                             ctx_->shuffle().BlockSize(shuffle_id_, m, r));
-        ctx_->ChargeDiskRead(m, bytes);
-        ctx_->ChargeTransfer(m, r, bytes);
-      }
-    }
+    ctx_->ChargeShuffleFetch(num_maps, num_reducers_,
+                             [&](int32_t m, int32_t r) {
+                               return outputs_[m].BlockBytes(r);
+                             });
     return Status::OK();
   }
 
@@ -396,7 +412,6 @@ class ShuffleWriter {
     if (!in.ok()) return in.status();
     ctx_->ChargeCompute(m, in->size());
 
-    std::vector<ByteBuffer> buckets(num_reducers_);
     uint64_t transient = 0;
     if (combiner_) {
       // Map-side combine: build a per-partition hash map first (this is
@@ -411,54 +426,69 @@ class ShuffleWriter {
                   (kJvmHashEntryOverhead + sizeof(K) + sizeof(V));
       PSG_RETURN_NOT_OK(ctx_->AllocatePartitionMemory(
           m, transient, "shuffle map-side combine"));
-      for (auto& [k, v] : combined) {
-        ByteBuffer& buf = buckets[KeyHash(k) % num_reducers_];
-        SerializeElem(buf, k);
-        SerializeElem(buf, v);
-      }
+      WriteBlocks(combined, &outputs_[m]);
     } else {
-      for (auto& [k, v] : *in) {
-        ByteBuffer& buf = buckets[KeyHash(k) % num_reducers_];
-        SerializeElem(buf, k);
-        SerializeElem(buf, v);
-      }
+      WriteBlocks(*in, &outputs_[m]);
     }
     // Spark consolidates a map task's output into one file (plus an
     // index), so the write pays a single seek for all buckets.
-    uint64_t total_bytes = 0;
-    for (int32_t r = 0; r < num_reducers_; ++r) {
-      total_bytes += buckets[r].size();
-    }
-    ctx_->ChargeDiskWrite(m, total_bytes);
-    for (int32_t r = 0; r < num_reducers_; ++r) {
-      ctx_->shuffle().PutBlock(shuffle_id_, m, r,
-                               std::move(buckets[r]).TakeData());
-    }
+    ctx_->ChargeDiskWrite(m, outputs_[m].offsets.back());
     if (transient > 0) ctx_->ReleasePartitionMemory(m, transient);
     return Status::OK();
+  }
+
+  /// Stable counting sort of `records` by reducer, serialized straight
+  /// into one exactly sized buffer: inside a block, records keep their
+  /// iteration order.
+  template <typename Records>
+  void WriteBlocks(const Records& records, MapOutput* out) const {
+    std::vector<int32_t> dest;
+    dest.reserve(records.size());
+    std::vector<uint64_t>& off = out->offsets;
+    off.assign(num_reducers_ + 1, 0);
+    for (const auto& [k, v] : records) {
+      const auto r = static_cast<int32_t>(KeyHash(k) % num_reducers_);
+      dest.push_back(r);
+      off[r + 1] += SerializedSizeOf(k) + SerializedSizeOf(v);
+    }
+    for (int32_t r = 0; r < num_reducers_; ++r) off[r + 1] += off[r];
+    out->bytes = std::make_unique_for_overwrite<uint8_t[]>(off.back());
+    std::vector<SpanWriter> cursors;
+    cursors.reserve(num_reducers_);
+    for (int32_t r = 0; r < num_reducers_; ++r) {
+      cursors.emplace_back(out->bytes.get() + off[r]);
+    }
+    size_t i = 0;
+    for (const auto& [k, v] : records) {
+      SpanWriter& w = cursors[dest[i++]];
+      SerializeElem(w, k);
+      SerializeElem(w, v);
+    }
+    // SerializedSizeOf and SerializeElem must agree: each block ends
+    // exactly where the next begins.
+    for (int32_t r = 0; r < num_reducers_; ++r) {
+      assert(cursors[r].position() == out->bytes.get() + off[r + 1]);
+    }
   }
 
   DataflowContext* ctx_;
   std::shared_ptr<Node<std::pair<K, V>>> parent_;
   int32_t num_reducers_;
   Combiner combiner_;
-  uint64_t shuffle_id_;
   std::once_flag once_;
   Status map_status_;  // written inside the once-guard, read after it
+  std::vector<MapOutput> outputs_;  // one per map partition
 };
 
-/// Fetches and deserializes all blocks for reduce partition `r`, invoking
-/// `sink(key, value)` per record. Pure data movement: disk-read and
-/// transfer time were already charged by the writer's deterministic
-/// fetch-accounting pass (see ShuffleWriter::WriteAll).
+/// Deserializes all blocks for reduce partition `r` in map-partition
+/// order, invoking `sink(key, value)` per record. Pure data movement:
+/// disk-read and transfer time were already charged by the writer's
+/// deterministic fetch-accounting pass (see ShuffleWriter::WriteAll).
 template <typename K, typename V, typename Sink>
-Status FetchShuffleBlocks(DataflowContext* ctx, uint64_t shuffle_id,
-                          int32_t num_map_partitions, int32_t r,
+Status FetchShuffleBlocks(const ShuffleWriter<K, V>& writer, int32_t r,
                           Sink&& sink) {
-  for (int32_t m = 0; m < num_map_partitions; ++m) {
-    auto block = ctx->shuffle().GetBlock(shuffle_id, m, r);
-    if (!block.ok()) return block.status();
-    ByteReader reader(*block);
+  for (int32_t m = 0; m < writer.num_map_partitions(); ++m) {
+    ByteReader reader = writer.BlockReader(m, r);
     while (reader.remaining() > 0) {
       K k{};
       V v{};
@@ -485,22 +515,19 @@ class GroupByKeyNode final : public Node<std::pair<K, std::vector<V>>> {
     std::unordered_map<K, std::vector<V>, KeyHasher<K>> groups;
     uint64_t charged = 0;
     Status mem_ok;
-    Status fetch = FetchShuffleBlocks<K, V>(
-        ctx, writer_.shuffle_id(), writer_.num_map_partitions(), r,
-        [&](K k, V v) {
-          if (!mem_ok.ok()) return;
-          auto [it, inserted] = groups.try_emplace(std::move(k));
-          uint64_t delta = JvmBytesOf(v) +
-                           (inserted ? kJvmHashEntryOverhead : 0);
-          Status s = ctx->AllocatePartitionMemory(r, delta,
-                                                  "groupByKey hash table");
-          if (!s.ok()) {
-            mem_ok = s;
-            return;
-          }
-          charged += delta;
-          it->second.push_back(std::move(v));
-        });
+    Status fetch = FetchShuffleBlocks(writer_, r, [&](K k, V v) {
+      if (!mem_ok.ok()) return;
+      auto [it, inserted] = groups.try_emplace(std::move(k));
+      uint64_t delta = JvmBytesOf(v) + (inserted ? kJvmHashEntryOverhead : 0);
+      Status s =
+          ctx->AllocatePartitionMemory(r, delta, "groupByKey hash table");
+      if (!s.ok()) {
+        mem_ok = s;
+        return;
+      }
+      charged += delta;
+      it->second.push_back(std::move(v));
+    });
     if (fetch.ok() && !mem_ok.ok()) fetch = mem_ok;
     if (!fetch.ok()) {
       ctx->ReleasePartitionMemory(r, charged);
@@ -535,25 +562,23 @@ class ReduceByKeyNode final : public Node<std::pair<K, V>> {
     std::unordered_map<K, V, KeyHasher<K>> agg;
     uint64_t charged = 0;
     Status mem_ok;
-    Status fetch = FetchShuffleBlocks<K, V>(
-        ctx, writer_.shuffle_id(), writer_.num_map_partitions(), r,
-        [&](K k, V v) {
-          if (!mem_ok.ok()) return;
-          auto it = agg.find(k);
-          if (it != agg.end()) {
-            it->second = combiner_(it->second, v);
-            return;
-          }
-          uint64_t delta = kJvmHashEntryOverhead + JvmBytesOf(v);
-          Status s = ctx->AllocatePartitionMemory(r, delta,
-                                                  "reduceByKey hash table");
-          if (!s.ok()) {
-            mem_ok = s;
-            return;
-          }
-          charged += delta;
-          agg.emplace(std::move(k), std::move(v));
-        });
+    Status fetch = FetchShuffleBlocks(writer_, r, [&](K k, V v) {
+      if (!mem_ok.ok()) return;
+      auto it = agg.find(k);
+      if (it != agg.end()) {
+        it->second = combiner_(it->second, v);
+        return;
+      }
+      uint64_t delta = kJvmHashEntryOverhead + JvmBytesOf(v);
+      Status s =
+          ctx->AllocatePartitionMemory(r, delta, "reduceByKey hash table");
+      if (!s.ok()) {
+        mem_ok = s;
+        return;
+      }
+      charged += delta;
+      agg.emplace(std::move(k), std::move(v));
+    });
     if (fetch.ok() && !mem_ok.ok()) fetch = mem_ok;
     if (!fetch.ok()) {
       ctx->ReleasePartitionMemory(r, charged);
@@ -598,23 +623,19 @@ class CoGroupNode final
       if (!s.ok()) mem_ok = s;
       else charged += delta;
     };
-    Status fetch = FetchShuffleBlocks<K, V>(
-        ctx, left_writer_.shuffle_id(), left_writer_.num_map_partitions(),
-        r, [&](K k, V v) {
-          if (!mem_ok.ok()) return;
-          auto [it, inserted] = groups.try_emplace(std::move(k));
-          charge(JvmBytesOf(v) + (inserted ? kJvmHashEntryOverhead : 0));
-          if (mem_ok.ok()) it->second.first.push_back(std::move(v));
-        });
+    Status fetch = FetchShuffleBlocks(left_writer_, r, [&](K k, V v) {
+      if (!mem_ok.ok()) return;
+      auto [it, inserted] = groups.try_emplace(std::move(k));
+      charge(JvmBytesOf(v) + (inserted ? kJvmHashEntryOverhead : 0));
+      if (mem_ok.ok()) it->second.first.push_back(std::move(v));
+    });
     if (fetch.ok()) {
-      fetch = FetchShuffleBlocks<K, W>(
-          ctx, right_writer_.shuffle_id(),
-          right_writer_.num_map_partitions(), r, [&](K k, W w) {
-            if (!mem_ok.ok()) return;
-            auto [it, inserted] = groups.try_emplace(std::move(k));
-            charge(JvmBytesOf(w) + (inserted ? kJvmHashEntryOverhead : 0));
-            if (mem_ok.ok()) it->second.second.push_back(std::move(w));
-          });
+      fetch = FetchShuffleBlocks(right_writer_, r, [&](K k, W w) {
+        if (!mem_ok.ok()) return;
+        auto [it, inserted] = groups.try_emplace(std::move(k));
+        charge(JvmBytesOf(w) + (inserted ? kJvmHashEntryOverhead : 0));
+        if (mem_ok.ok()) it->second.second.push_back(std::move(w));
+      });
     }
     if (fetch.ok() && !mem_ok.ok()) fetch = mem_ok;
     if (!fetch.ok()) {

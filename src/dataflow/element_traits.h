@@ -2,7 +2,9 @@
 //
 // Two concerns live here because they must agree:
 //  * SerializeElem/DeserializeElem define the wire format of shuffle
-//    blocks (what crosses executor boundaries).
+//    blocks (what crosses executor boundaries). SerializedSizeOf gives
+//    the exact byte count SerializeElem writes, so the shuffle map side
+//    can size its output once and serialize in place (SpanWriter).
 //  * JvmBytesOf estimates what the element would occupy on a Spark
 //    executor's JVM heap (object headers, boxed records). The memory
 //    accountant charges these estimates, which is how the simulation
@@ -50,7 +52,11 @@ template <typename T>
 uint64_t JvmBytesOf(const T& v);
 
 template <typename T>
-void SerializeElem(ByteBuffer& buf, const T& v);
+uint64_t SerializedSizeOf(const T& v);
+
+/// `Out` is ByteBuffer or SpanWriter; both write the same encoding.
+template <typename Out, typename T>
+void SerializeElem(Out& buf, const T& v);
 
 template <typename T>
 Status DeserializeElem(ByteReader& reader, T* out);
@@ -78,7 +84,29 @@ uint64_t JvmBytesOf(const T& v) {
 }
 
 template <typename T>
-void SerializeElem(ByteBuffer& buf, const T& v) {
+uint64_t SerializedSizeOf(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return sizeof(uint64_t) + v.size();
+  } else if constexpr (detail::IsPair<T>::value) {
+    return SerializedSizeOf(v.first) + SerializedSizeOf(v.second);
+  } else if constexpr (detail::IsVector<T>::value) {
+    using E = typename T::value_type;
+    if constexpr (std::is_trivially_copyable_v<E>) {
+      return sizeof(uint64_t) + v.size() * sizeof(E);
+    } else {
+      uint64_t total = sizeof(uint64_t);
+      for (const auto& e : v) total += SerializedSizeOf(e);
+      return total;
+    }
+  } else {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "unsupported dataflow element type");
+    return sizeof(T);
+  }
+}
+
+template <typename Out, typename T>
+void SerializeElem(Out& buf, const T& v) {
   if constexpr (std::is_same_v<T, std::string>) {
     buf.WriteString(v);
   } else if constexpr (detail::IsPair<T>::value) {
@@ -89,7 +117,7 @@ void SerializeElem(ByteBuffer& buf, const T& v) {
     if constexpr (std::is_trivially_copyable_v<E>) {
       buf.WriteVector(v);
     } else {
-      buf.Write<uint64_t>(v.size());
+      buf.Write(static_cast<uint64_t>(v.size()));
       for (const auto& e : v) SerializeElem(buf, e);
     }
   } else {

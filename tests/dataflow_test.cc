@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/byte_buffer.h"
+#include "common/thread_pool.h"
 #include "dataflow/dataset.h"
+#include "graph/types.h"
 #include "sim/cluster.h"
 
 namespace psgraph::dataflow {
@@ -266,6 +270,163 @@ TEST_F(DataflowTest, StageBarrierAlignsExecutors) {
   for (int e = 0; e < 4; ++e) {
     EXPECT_DOUBLE_EQ(cluster_.clock().Now(e), 5.0);
   }
+}
+
+// ---------------------------------------------------------------------
+// Element sizing: the shuffle map side sizes every block with
+// SerializedSizeOf and then serializes in place through a SpanWriter, so
+// both must agree byte for byte with SerializeElem into a ByteBuffer.
+// ---------------------------------------------------------------------
+
+struct PodRecord {
+  uint32_t id;
+  float score;
+  bool operator==(const PodRecord&) const = default;
+};
+
+template <typename T>
+void ExpectSizedInPlaceWriteMatches(const T& v) {
+  ByteBuffer buf;
+  SerializeElem(buf, v);
+  ASSERT_EQ(SerializedSizeOf(v), buf.size());
+  std::vector<uint8_t> span(buf.size());
+  SpanWriter writer(span.data());
+  SerializeElem(writer, v);
+  EXPECT_EQ(static_cast<size_t>(writer.position() - span.data()),
+            span.size());
+  EXPECT_EQ(span, buf.data());
+  ByteReader reader(span);
+  T back{};
+  ASSERT_TRUE(DeserializeElem(reader, &back).ok());
+  EXPECT_EQ(back, v);
+  EXPECT_EQ(reader.remaining(), 0u);
+}
+
+TEST(ElementTraitsTest, SerializedSizeAndInPlaceWriteMatchByteBuffer) {
+  using Nbrs = std::pair<uint64_t, std::vector<uint64_t>>;
+  ExpectSizedInPlaceWriteMatches(uint64_t{42});
+  ExpectSizedInPlaceWriteMatches(PodRecord{7, 0.5f});
+  ExpectSizedInPlaceWriteMatches(graph::Edge{3, 9, 2.5f});
+  ExpectSizedInPlaceWriteMatches(std::string("shuffle"));
+  ExpectSizedInPlaceWriteMatches(std::string());
+  ExpectSizedInPlaceWriteMatches(
+      std::pair<uint64_t, std::pair<std::string, float>>{5, {"ab", 1.5f}});
+  ExpectSizedInPlaceWriteMatches(std::vector<uint64_t>{1, 2, 3});
+  ExpectSizedInPlaceWriteMatches(std::vector<uint64_t>{});
+  ExpectSizedInPlaceWriteMatches(
+      std::vector<graph::Edge>{{1, 2, 1.0f}, {2, 3, 0.25f}});
+  ExpectSizedInPlaceWriteMatches(Nbrs{11, {4, 5, 6}});
+  ExpectSizedInPlaceWriteMatches(Nbrs{12, {}});
+  ExpectSizedInPlaceWriteMatches(
+      std::vector<std::pair<uint64_t, std::vector<PodRecord>>>{
+          {1, {{1, 1.0f}, {2, 2.0f}}}, {2, {}}, {3, {{3, 3.0f}}}});
+  ExpectSizedInPlaceWriteMatches(
+      std::vector<std::pair<uint64_t, std::vector<uint32_t>>>{});
+  ExpectSizedInPlaceWriteMatches(std::vector<std::string>{"", "x", "yz"});
+  ExpectSizedInPlaceWriteMatches(std::vector<std::vector<float>>{{}, {1.0f}});
+}
+
+// ---------------------------------------------------------------------
+// Consolidated shuffle output: GroupByKey + ReduceByKey + Join over input
+// with an empty map partition and a reducer that receives no record.
+// ---------------------------------------------------------------------
+
+constexpr int32_t kReducers = 5;
+constexpr int32_t kEmptyReducer = 3;
+constexpr int32_t kMapParts = 6;
+constexpr int32_t kEmptyMapPart = 2;
+
+// Value p * 1000 + i is record i of map partition p; no key hashes to
+// kEmptyReducer.
+std::vector<std::vector<IntPair>> ShuffleInput() {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; keys.size() < 12; ++k) {
+    if (KeyHash(k) % kReducers != kEmptyReducer) keys.push_back(k);
+  }
+  std::vector<std::vector<IntPair>> parts(kMapParts);
+  for (int32_t p = 0; p < kMapParts; ++p) {
+    if (p == kEmptyMapPart) continue;
+    for (uint64_t i = 0; i < 40; ++i) {
+      parts[p].push_back({keys[(i * 7 + p) % keys.size()], p * 1000 + i});
+    }
+  }
+  return parts;
+}
+
+struct ShuffleRun {
+  std::vector<std::pair<uint64_t, std::vector<uint64_t>>> grouped;
+  std::vector<std::pair<uint64_t, std::pair<uint64_t, std::vector<uint64_t>>>>
+      joined;
+  size_t empty_reducer_records = 0;
+  std::map<std::string, uint64_t> counters;  // dataflow.* only
+  std::vector<int64_t> executor_ticks;
+};
+
+ShuffleRun RunShufflePipeline(size_t parallelism) {
+  SetGlobalParallelism(parallelism);
+  Metrics metrics;
+  sim::SimCluster cluster(SmallCluster());
+  cluster.set_metrics(&metrics);
+  DataflowContext ctx(&cluster);
+  auto ds = Dataset<IntPair>::FromPartitions(&ctx, ShuffleInput());
+  auto grouped = ds.GroupByKey(kReducers);
+  auto sums = ds.ReduceByKey(
+      [](const uint64_t& a, const uint64_t& b) { return a + b; }, kReducers);
+  ShuffleRun run;
+  auto g = grouped.Collect();
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  if (g.ok()) run.grouped = std::move(*g);
+  auto empty = grouped.ComputePartition(kEmptyReducer);
+  EXPECT_TRUE(empty.ok());
+  if (empty.ok()) run.empty_reducer_records = empty->size();
+  auto j = sums.Join(grouped, kReducers).Collect();
+  EXPECT_TRUE(j.ok()) << j.status().ToString();
+  if (j.ok()) run.joined = std::move(*j);
+  for (const auto& [name, value] : metrics.CounterSnapshot()) {
+    if (name.rfind("dataflow.", 0) == 0) run.counters[name] = value;
+  }
+  for (int32_t e = 0; e < cluster.config().num_executors; ++e) {
+    run.executor_ticks.push_back(cluster.clock().NowTicks(e));
+  }
+  return run;
+}
+
+TEST(ShuffleOutputTest, ConsolidatedBlocksReadBackInOrderAtAnyParallelism) {
+  const size_t saved = GlobalParallelism();
+  const ShuffleRun seq = RunShufflePipeline(1);
+  const ShuffleRun par = RunShufflePipeline(4);
+  SetGlobalParallelism(saved);
+
+  // Every byte written is read back exactly once, and some crossed
+  // executors.
+  ASSERT_TRUE(seq.counters.count("dataflow.shuffle_bytes_written"));
+  EXPECT_GT(seq.counters.at("dataflow.shuffle_bytes_written"), 0u);
+  EXPECT_EQ(seq.counters.at("dataflow.shuffle_bytes_read"),
+            seq.counters.at("dataflow.shuffle_bytes_written"));
+  EXPECT_GT(seq.counters.at("dataflow.network_bytes"), 0u);
+  EXPECT_EQ(seq.empty_reducer_records, 0u);
+
+  // Values under one key arrive ordered by (map partition, position).
+  std::map<uint64_t, std::vector<uint64_t>> expected;
+  for (const auto& part : ShuffleInput()) {
+    for (const auto& [k, v] : part) expected[k].push_back(v);
+  }
+  ASSERT_EQ(seq.grouped.size(), expected.size());
+  for (const auto& [k, vs] : seq.grouped) {
+    EXPECT_EQ(vs, expected.at(k)) << "key " << k;
+  }
+  ASSERT_EQ(seq.joined.size(), expected.size());
+  for (const auto& [k, sum_and_values] : seq.joined) {
+    const auto& [sum, vs] = sum_and_values;
+    EXPECT_EQ(vs, expected.at(k)) << "key " << k;
+    EXPECT_EQ(sum, std::accumulate(vs.begin(), vs.end(), uint64_t{0}));
+  }
+
+  // Output, counters and clocks do not depend on the thread count.
+  EXPECT_EQ(seq.grouped, par.grouped);
+  EXPECT_EQ(seq.joined, par.joined);
+  EXPECT_EQ(seq.counters, par.counters);
+  EXPECT_EQ(seq.executor_ticks, par.executor_ticks);
 }
 
 }  // namespace
