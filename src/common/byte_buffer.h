@@ -65,6 +65,14 @@ class ByteBuffer {
     if (n > 0) std::memcpy(data_.data() + off, src, n);
   }
 
+  /// Appends `n` bytes for the caller to fill and returns their start.
+  /// The pointer is valid until the next append.
+  uint8_t* Extend(size_t n) {
+    size_t off = data_.size();
+    data_.resize(off + n);
+    return data_.data() + off;
+  }
+
  private:
   std::vector<uint8_t> data_;
 };
@@ -116,6 +124,11 @@ class ByteReader {
 
   size_t remaining() const { return size_ - pos_; }
   size_t position() const { return pos_; }
+
+  /// The unread bytes, for decoders that check remaining() themselves;
+  /// Skip(n) needs n <= remaining().
+  const uint8_t* cursor() const { return data_ + pos_; }
+  void Skip(size_t n) { pos_ += n; }
 
   template <typename T>
   Status Read(T* out) {

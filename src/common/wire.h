@@ -22,8 +22,9 @@
 namespace psgraph {
 
 inline void WriteFloatBlock(ByteBuffer* buf, const float* data, size_t n) {
-  PutVarint64(buf, n);
-  buf->WriteRaw(data, n * sizeof(float));
+  uint8_t* p = buf->Extend(Varint64Size(n) + n * sizeof(float));
+  p = EncodeVarint64(p, n);
+  if (n > 0) std::memcpy(p, data, n * sizeof(float));
 }
 
 template <typename Alloc>

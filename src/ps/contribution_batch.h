@@ -15,6 +15,14 @@
 // batch is scattered back into the scratch first, so each key sees the
 // same sequence of float additions as one accumulator kept alive across
 // the partitions would.
+//
+// Gathering rows by key runs the same dense pattern the other way round.
+// SortedDistinctKeys marks every id a batch reads in a thread-local
+// touched bitmap and walks it once, so the pull list comes out sorted and
+// deduplicated without a sort; WithKeySlots then maps each pulled key to
+// its row with one indexed load from a thread-local [num_keys] slot table
+// instead of a binary search. The two are separate calls so no scratch
+// stays claimed across the pull itself.
 
 #ifndef PSGRAPH_PS_CONTRIBUTION_BATCH_H_
 #define PSGRAPH_PS_CONTRIBUTION_BATCH_H_
@@ -121,6 +129,71 @@ Status AccumulateInto(uint64_t num_keys, ContributionBatch<T>* batch,
         " outside the id space [0, " + std::to_string(num_keys) + ")");
   }
   return Status::OK();
+}
+
+// This thread's key-gathering scratch, shared by every caller (a
+// thread_local inside the templates would be one per instantiation): a
+// touched bitmap over [0, num_keys), all zero between calls, and a
+// [num_keys] slot table.
+inline std::vector<uint64_t>& KeyBitmapScratch(uint64_t num_keys) {
+  thread_local std::vector<uint64_t> bits;
+  const size_t words = (num_keys + 63) / 64;
+  if (bits.size() < words) bits.resize(words, 0);
+  return bits;
+}
+
+inline std::vector<uint32_t>& KeySlotScratch(uint64_t num_keys) {
+  thread_local std::vector<uint32_t> slots;
+  if (slots.size() < num_keys) slots.resize(num_keys);
+  return slots;
+}
+
+/// Replaces `out` with the distinct ids, ascending, that
+/// for_each_id(visit) passes to visit. for_each_id runs twice: once to
+/// check every id against [0, num_keys) — failing with InvalidArgument
+/// before the scratch is touched — and once to mark them.
+template <typename ForEachId>
+Status SortedDistinctKeys(uint64_t num_keys, ForEachId&& for_each_id,
+                          std::vector<uint64_t>* out) {
+  bool out_of_range = false;
+  uint64_t bad_key = 0;
+  for_each_id([&](uint64_t id) {
+    if (id >= num_keys && !out_of_range) {
+      out_of_range = true;
+      bad_key = id;
+    }
+  });
+  if (out_of_range) {
+    return Status::InvalidArgument(
+        "key " + std::to_string(bad_key) + " outside the id space [0, " +
+        std::to_string(num_keys) + ")");
+  }
+  std::vector<uint64_t>& bits = KeyBitmapScratch(num_keys);
+  for_each_id(
+      [&](uint64_t id) { bits[id >> 6] |= uint64_t{1} << (id & 63); });
+  out->clear();
+  const size_t words = (num_keys + 63) / 64;
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t b = bits[w]; b != 0; b &= b - 1) {
+      out->push_back(w * 64 + static_cast<uint64_t>(__builtin_ctzll(b)));
+    }
+    bits[w] = 0;
+  }
+  return Status::OK();
+}
+
+/// Runs fn(slot_of), where slot_of(key) is the index of `key` in `keys`.
+/// `keys` must be distinct, each below num_keys, and fewer than 2^32 (a
+/// SortedDistinctKeys result); slot_of may only be asked for those keys.
+template <typename Fn>
+void WithKeySlots(uint64_t num_keys, const std::vector<uint64_t>& keys,
+                  Fn&& fn) {
+  std::vector<uint32_t>& slots = KeySlotScratch(num_keys);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    slots[keys[i]] = static_cast<uint32_t>(i);
+  }
+  const uint32_t* table = slots.data();
+  fn([table](uint64_t key) -> size_t { return table[key]; });
 }
 
 }  // namespace psgraph::ps

@@ -481,13 +481,12 @@ Status PsServer::MutateNeighbors(MatrixId id,
 
 Status PsServer::PullNeighbors(MatrixId id,
                                std::span<const uint64_t> keys,
-                               std::vector<NeighborEntry>* out) {
+                               ByteBuffer* out) {
   const int64_t t0 = NowTicks();
   ScopedSpan span(&tracer(), "ps.pull_nbrs", node_, t0,
                   [this] { return NowTicks(); });
   PSG_ASSIGN_OR_RETURN(MatrixShard * shard, GetShard(id));
   ChargeCompute(keys.size());
-  out->reserve(out->size() + keys.size());
   if (shard->csr.has_value()) {
     const CsrStore& csr = *shard->csr;
     // The agent sends each server's keys sorted (GroupKeysByServer), so
@@ -501,27 +500,29 @@ Status PsServer::PullNeighbors(MatrixId id,
       prev_key = key;
       auto it = std::lower_bound(hint, csr.keys.end(), key);
       hint = it;
-      if (it == csr.keys.end() || *it != key) {
-        out->push_back({});
-        continue;
+      uint64_t begin = 0;
+      uint64_t end = 0;
+      if (it != csr.keys.end() && *it == key) {
+        const size_t i = static_cast<size_t>(it - csr.keys.begin());
+        begin = csr.offsets[i];
+        end = csr.offsets[i + 1];
       }
-      size_t i = static_cast<size_t>(it - csr.keys.begin());
-      NeighborEntry entry;
-      entry.neighbors.assign(csr.neighbors.begin() + csr.offsets[i],
-                             csr.neighbors.begin() + csr.offsets[i + 1]);
-      if (!csr.weights.empty()) {
-        entry.weights.assign(csr.weights.begin() + csr.offsets[i],
-                             csr.weights.begin() + csr.offsets[i + 1]);
+      PutDeltaList(out, csr.neighbors.data() + begin, end - begin);
+      if (csr.weights.empty()) {
+        WriteFloatBlock(out, nullptr, 0);
+      } else {
+        WriteFloatBlock(out, csr.weights.data() + begin, end - begin);
       }
-      out->push_back(std::move(entry));
     }
   } else {
     for (uint64_t key : keys) {
       auto it = shard->neighbors.find(key);
       if (it != shard->neighbors.end()) {
-        out->push_back(it->second);
+        PutDeltaList(out, it->second.neighbors);
+        WriteFloatBlock(out, it->second.weights);
       } else {
-        out->push_back({});
+        PutDeltaList(out, nullptr, 0);
+        WriteFloatBlock(out, nullptr, 0);
       }
     }
   }

@@ -167,9 +167,11 @@ class PsServer {
   /// image and releases the map (further pushes are rejected). Reduces
   /// resident memory by the per-entry overhead; pulls are unchanged.
   Status FreezeNeighbors(MatrixId id);
-  /// Appends entries for `keys` to `out` (empty entry if unknown vertex).
+  /// Appends the "ps.pull_nbrs" response for `keys` to `out`: per key, the
+  /// delta-list neighbors and the float-block weights, written straight
+  /// from the CSR image or the hash entry (both empty if unknown vertex).
   Status PullNeighbors(MatrixId id, std::span<const uint64_t> keys,
-                       std::vector<NeighborEntry>* out);
+                       ByteBuffer* out);
 
   Result<ByteBuffer> CallFunc(const std::string& name,
                               const std::vector<uint8_t>& args);

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <unordered_set>
+#include <numeric>
 
 #include "common/byte_buffer.h"
 #include "dataflow/dataset.h"
@@ -33,18 +32,22 @@ Result<ps::MatrixMeta> LoadMutableAdjacency(core::PsGraphContext& ctx,
                             ps::StorageKind::kNeighbors,
                             ps::Layout::kRowPartitioned,
                             ps::PartitionScheme::kHash));
-  // Group by source on the driver, then executors push contiguous
-  // source chunks (each source lives in exactly one chunk, so the
-  // server-side merge never interleaves one vertex's list).
-  std::map<graph::VertexId, std::vector<graph::VertexId>> by_src;
-  for (const graph::Edge& e : edges) by_src[e.src].push_back(e.dst);
+  // Group by source on the driver (a stable sort keeps each source's
+  // destinations in input order), then executors push contiguous source
+  // chunks (each source lives in exactly one chunk, so the server-side
+  // merge never interleaves one vertex's list).
+  std::vector<size_t> order(edges.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return edges[a].src < edges[b].src;
+  });
   std::vector<graph::NeighborList> lists;
-  lists.reserve(by_src.size());
-  for (auto& [src, dsts] : by_src) {
-    graph::NeighborList nl;
-    nl.vertex = src;
-    nl.neighbors = std::move(dsts);
-    lists.push_back(std::move(nl));
+  for (size_t i : order) {
+    if (lists.empty() || lists.back().vertex != edges[i].src) {
+      lists.emplace_back();
+      lists.back().vertex = edges[i].src;
+    }
+    lists.back().neighbors.push_back(edges[i].dst);
   }
   const int32_t E = ctx.num_executors();
   PSG_RETURN_NOT_OK(dataflow::RunPartitioned(
@@ -127,24 +130,28 @@ Result<DeltaStats> DeltaPageRankEngine::ApplyMutationsAndRecompute(
                        driver_agent.PullNeighbors(adjacency_, srcs));
 
   // Residual seed: delta_v gets damp * R_u * (M_new - M_old)[v, u] for
-  // every mutated source u (see the header derivation). std::map keeps
-  // the seed keys sorted for free.
+  // every mutated source u (see the header derivation), accumulated per
+  // destination in source order and gathered key-sorted.
   const double damp = 1.0 - opts_.reset_prob;
-  std::map<uint64_t, double> seeds;
+  ps::ContributionBatch<double> seeds;
   uint64_t scanned = 0;
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    const double r = src_ranks[i];
-    scanned += old_adj[i].neighbors.size() + new_adj[i].neighbors.size();
-    if (r == 0.0) continue;
-    if (!new_adj[i].neighbors.empty()) {
-      const double c = damp * r / new_adj[i].neighbors.size();
-      for (uint64_t v : new_adj[i].neighbors) seeds[v] += c;
-    }
-    if (!old_adj[i].neighbors.empty()) {
-      const double c = damp * r / old_adj[i].neighbors.size();
-      for (uint64_t v : old_adj[i].neighbors) seeds[v] -= c;
-    }
-  }
+  PSG_RETURN_NOT_OK(
+      ps::AccumulateInto(num_vertices_, &seeds, [&](auto& acc) {
+        for (size_t i = 0; i < srcs.size(); ++i) {
+          const double r = src_ranks[i];
+          scanned +=
+              old_adj[i].neighbors.size() + new_adj[i].neighbors.size();
+          if (r == 0.0) continue;
+          if (!new_adj[i].neighbors.empty()) {
+            const double c = damp * r / new_adj[i].neighbors.size();
+            for (uint64_t v : new_adj[i].neighbors) acc.Add(v, c);
+          }
+          if (!old_adj[i].neighbors.empty()) {
+            const double c = damp * r / old_adj[i].neighbors.size();
+            for (uint64_t v : old_adj[i].neighbors) acc.Add(v, -c);
+          }
+        }
+      }));
   ctx_->cluster().clock().Advance(
       ctx_->cluster().config().driver(),
       ctx_->cluster().cost().ComputeTime(scanned + mutations.size()));
@@ -153,11 +160,11 @@ Result<DeltaStats> DeltaPageRankEngine::ApplyMutationsAndRecompute(
   std::vector<uint64_t> seed_keys;
   std::vector<float> seed_vals;
   frontier.reserve(seeds.size());
-  for (const auto& [v, d] : seeds) {
-    const float f = static_cast<float>(d);
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    const float f = static_cast<float>(seeds.values[i]);
     if (f == 0.0f) continue;  // exact cancellation: nothing to propagate
-    frontier.push_back(v);
-    seed_keys.push_back(v);
+    frontier.push_back(seeds.keys[i]);
+    seed_keys.push_back(seeds.keys[i]);
     seed_vals.push_back(f);
   }
   if (!seed_keys.empty()) {
@@ -182,7 +189,10 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
   const int32_t E = ctx_->num_executors();
   const double damp = 1.0 - opts_.reset_prob;
   ps::PsAgent driver_agent(&ctx_->ps(), ctx_->cluster().config().driver());
-  std::unordered_set<uint64_t> touched;
+  // Distinct vertices ever on the frontier: a bitmap over the id space
+  // and its population count.
+  std::vector<uint64_t> touched((num_vertices_ + 63) / 64, 0);
+  uint64_t touched_count = 0;
 
   ByteBuffer advance_args;
   advance_args.Write<ps::MatrixId>(deltas_.id);
@@ -192,7 +202,12 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
   std::vector<ps::ContributionBatch<float>> updates(E);
   ps::ContributionBatch<double> merged;
   while (!frontier.empty() && iter < opts_.max_iterations) {
-    touched.insert(frontier.begin(), frontier.end());
+    for (uint64_t v : frontier) {
+      uint64_t& word = touched[v >> 6];
+      const uint64_t bit = uint64_t{1} << (v & 63);
+      touched_count += (word & bit) == 0 ? 1 : 0;
+      word |= bit;
+    }
     stats.frontier_total += frontier.size();
 
     // Sweep phase: each executor pulls its frontier chunk's residuals
@@ -292,7 +307,7 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
       double tail, driver_agent.CallFuncSum("pagerank.advance",
                                             advance_args));
   stats.final_delta_l1 = tail;
-  stats.vertices_touched = touched.size();
+  stats.vertices_touched = touched_count;
   return stats;
 }
 
@@ -363,42 +378,46 @@ Result<uint64_t> IncrementalEmbedder::ReembedDirty(
               std::vector<ps::NeighborEntry> adj,
               ctx_->agent(e).PullNeighbors(adjacency_, chunk));
           // Rows needed: the chunk plus every neighbor it averages over.
-          std::vector<uint64_t> needed = chunk;
-          for (const ps::NeighborEntry& a : adj) {
-            needed.insert(needed.end(), a.neighbors.begin(),
-                          a.neighbors.end());
-          }
-          std::sort(needed.begin(), needed.end());
-          needed.erase(std::unique(needed.begin(), needed.end()),
-                       needed.end());
+          std::vector<uint64_t> needed;
+          PSG_RETURN_NOT_OK(ps::SortedDistinctKeys(
+              num_vertices_,
+              [&](auto&& visit) {
+                for (uint64_t v : chunk) visit(v);
+                for (const ps::NeighborEntry& a : adj) {
+                  for (uint64_t u : a.neighbors) visit(u);
+                }
+              },
+              &needed));
           PSG_ASSIGN_OR_RETURN(std::vector<float> rows,
                                ctx_->agent(e).PullRows(emb_, needed));
-          auto row_of = [&](uint64_t v) -> const float* {
-            const size_t i = static_cast<size_t>(
-                std::lower_bound(needed.begin(), needed.end(), v) -
-                needed.begin());
-            return rows.data() + i * d;
-          };
           std::vector<float>& out = staged[e];
           out.resize(chunk.size() * d);
+          std::vector<double> sum(d);
           uint64_t averaged = 0;
-          for (size_t i = 0; i < chunk.size(); ++i) {
-            const float* self = row_of(chunk[i]);
-            float* dst = out.data() + i * d;
-            const auto& nbrs = adj[i].neighbors;
-            if (nbrs.empty()) {
-              std::copy(self, self + d, dst);
-              continue;
+          ps::WithKeySlots(num_vertices_, needed, [&](auto slot_of) {
+            for (size_t i = 0; i < chunk.size(); ++i) {
+              const float* self = rows.data() + slot_of(chunk[i]) * d;
+              float* dst = out.data() + i * d;
+              const auto& nbrs = adj[i].neighbors;
+              if (nbrs.empty()) {
+                std::copy(self, self + d, dst);
+                continue;
+              }
+              // One row lookup per neighbor. Each column sums its
+              // neighbors in list order: that order fixes the rounding.
+              std::fill(sum.begin(), sum.end(), 0.0);
+              for (uint64_t u : nbrs) {
+                const float* row = rows.data() + slot_of(u) * d;
+                for (uint32_t c = 0; c < d; ++c) sum[c] += row[c];
+              }
+              const double count = static_cast<double>(nbrs.size());
+              for (uint32_t c = 0; c < d; ++c) {
+                dst[c] = (1.0f - opts_.alpha) * self[c] +
+                         opts_.alpha * static_cast<float>(sum[c] / count);
+              }
+              averaged += nbrs.size();
             }
-            for (uint32_t c = 0; c < d; ++c) {
-              double mean = 0.0;
-              for (uint64_t u : nbrs) mean += row_of(u)[c];
-              mean /= static_cast<double>(nbrs.size());
-              dst[c] = (1.0f - opts_.alpha) * self[c] +
-                       opts_.alpha * static_cast<float>(mean);
-            }
-            averaged += nbrs.size();
-          }
+          });
           ctx_->cluster().clock().Advance(
               ctx_->cluster().config().executor(e),
               ctx_->cluster().cost().ComputeTime(averaged * d));

@@ -148,6 +148,8 @@ class IncrementalEmbedder {
   /// Re-embeds only `dirty` (sorted, unique): pulls their adjacency and
   /// the needed neighbor rows, re-runs the smoothing steps, pushes the
   /// dirty rows back. Returns rows rewritten (dirty.size() * steps).
+  /// A dirty or neighbor id outside [0, num_vertices) fails with
+  /// InvalidArgument before that step writes any row.
   Result<uint64_t> ReembedDirty(const std::vector<uint64_t>& dirty);
 
   const ps::MatrixMeta& matrix() const { return emb_; }

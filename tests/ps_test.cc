@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/varint.h"
+#include "common/wire.h"
 #include "minitorch/nn.h"
 #include "net/rpc.h"
 #include "ps/agent.h"
@@ -150,6 +155,107 @@ TEST_F(PsTest, NeighborTableRoundTrip) {
   EXPECT_EQ((*entries)[0].weights.size(), 2u);
   EXPECT_EQ((*entries)[1].neighbors, (std::vector<uint64_t>{2, 3, 4}));
   EXPECT_TRUE((*entries)[2].neighbors.empty());
+}
+
+/// The "ps.pull_nbrs" response as the handler built it from copies: each
+/// key's NeighborEntry copied out of the shard (CSR image or hash map),
+/// then every copy encoded.
+std::vector<uint8_t> EntryCopyPullNbrsResponse(
+    const MatrixShard& shard, const std::vector<uint64_t>& keys) {
+  std::vector<NeighborEntry> out;
+  if (shard.csr.has_value()) {
+    const CsrStore& csr = *shard.csr;
+    auto hint = csr.keys.begin();
+    uint64_t prev_key = 0;
+    for (uint64_t key : keys) {
+      if (key < prev_key) hint = csr.keys.begin();
+      prev_key = key;
+      auto it = std::lower_bound(hint, csr.keys.end(), key);
+      hint = it;
+      if (it == csr.keys.end() || *it != key) {
+        out.push_back({});
+        continue;
+      }
+      size_t i = static_cast<size_t>(it - csr.keys.begin());
+      NeighborEntry entry;
+      entry.neighbors.assign(csr.neighbors.begin() + csr.offsets[i],
+                             csr.neighbors.begin() + csr.offsets[i + 1]);
+      if (!csr.weights.empty()) {
+        entry.weights.assign(csr.weights.begin() + csr.offsets[i],
+                             csr.weights.begin() + csr.offsets[i + 1]);
+      }
+      out.push_back(std::move(entry));
+    }
+  } else {
+    for (uint64_t key : keys) {
+      auto it = shard.neighbors.find(key);
+      out.push_back(it != shard.neighbors.end() ? it->second
+                                                : NeighborEntry{});
+    }
+  }
+  ByteBuffer resp;
+  for (const NeighborEntry& entry : out) {
+    PutDeltaList(&resp, entry.neighbors);
+    WriteFloatBlock(&resp, entry.weights);
+  }
+  return resp.data();
+}
+
+TEST_F(PsTest, PullNbrsResponseMatchesEntryCopyEncoding) {
+  // "mixed" has weighted and unweighted entries (its CSR image pads the
+  // unweighted ones), "plain" none; vertex 9 arrives in two pushes.
+  std::vector<graph::NeighborList> mixed = {
+      {1, {2, 3, 4}, {}},
+      {2, {1}, {}},
+      {9, {1ull << 40, 0, 7}, {0.5f, 0.25f, 2.0f}},
+      {14, {}, {}},
+      {77, {1, 2}, {0.5f, 0.25f}},
+      {300, {299, 301, 299}, {}},
+      {9, {5}, {1.5f}},
+  };
+  std::vector<graph::NeighborList> plain;
+  for (const auto& nl : mixed) plain.push_back({nl.vertex, nl.neighbors, {}});
+  const std::vector<std::vector<uint64_t>> batches = {
+      {1, 2, 9, 14, 77, 300},           // sorted, as the agent sends it
+      {300, 77, 5, 9, 1, 1, 999, 2},    // out of order, dupes, missing
+      {12345},                          // only a missing key
+      {},
+  };
+  for (const char* name : {"mixed", "plain"}) {
+    auto meta = ctx_->CreateMatrix(name, 0, 0, StorageKind::kNeighbors,
+                                   Layout::kRowPartitioned,
+                                   PartitionScheme::kHash);
+    ASSERT_TRUE(meta.ok());
+    const auto& tables = std::string(name) == "mixed" ? mixed : plain;
+    ASSERT_TRUE(agent_
+                    ->PushNeighbors(*meta, std::vector<graph::NeighborList>(
+                                               tables.begin(),
+                                               tables.end() - 1))
+                    .ok());
+    ASSERT_TRUE(agent_->PushNeighbors(*meta, {tables.back()}).ok());
+    for (bool frozen : {false, true}) {
+      if (frozen) {
+        ASSERT_TRUE(agent_->FreezeNeighbors(*meta).ok());
+      }
+      for (int32_t s = 0; s < ctx_->num_servers(); ++s) {
+        auto shard = ctx_->server(s)->GetShard(meta->id);
+        ASSERT_TRUE(shard.ok());
+        ASSERT_EQ((*shard)->csr.has_value(), frozen);
+        for (const auto& keys : batches) {
+          ByteBuffer req;
+          req.Write<MatrixId>(meta->id);
+          PutDeltaList(&req, keys);
+          auto resp = fabric_->Call(cluster_->config().executor(0),
+                                    ctx_->ServerNode(s), "ps.pull_nbrs",
+                                    req);
+          ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+          EXPECT_EQ(*resp, EntryCopyPullNbrsResponse(**shard, keys))
+              << name << " frozen=" << frozen << " server " << s
+              << " batch of " << keys.size();
+        }
+      }
+    }
+  }
 }
 
 TEST_F(PsTest, ColumnPartitionedPullReassemblesFullRows) {

@@ -369,5 +369,217 @@ TEST(FreshnessPipelineTest, ByteIdenticalAcrossEngineParallelism) {
   for (int64_t s : t1.staleness) EXPECT_GE(s, 0);
 }
 
+/// The re-embed kernel as it was before the dense gather: sort + unique
+/// the needed rows, then one lower_bound per neighbor per column. Runs
+/// `steps` smoothing steps of `dirty` over the dense rows `emb`
+/// ([n x d]), every step reading the rows as they were before it.
+void ReferenceReembed(const std::vector<std::vector<uint64_t>>& adj,
+                      const std::vector<uint64_t>& dirty, uint32_t d,
+                      float alpha, int steps, std::vector<float>* emb) {
+  for (int step = 0; step < steps; ++step) {
+    std::vector<uint64_t> needed = dirty;
+    for (uint64_t v : dirty) {
+      needed.insert(needed.end(), adj[v].begin(), adj[v].end());
+    }
+    std::sort(needed.begin(), needed.end());
+    needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
+    std::vector<float> rows;
+    for (uint64_t v : needed) {
+      rows.insert(rows.end(), emb->begin() + v * d,
+                  emb->begin() + (v + 1) * d);
+    }
+    auto row_of = [&](uint64_t v) -> const float* {
+      const size_t i = static_cast<size_t>(
+          std::lower_bound(needed.begin(), needed.end(), v) -
+          needed.begin());
+      return rows.data() + i * d;
+    };
+    std::vector<float> out(dirty.size() * d);
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      const float* self = row_of(dirty[i]);
+      float* dst = out.data() + i * d;
+      const auto& nbrs = adj[dirty[i]];
+      if (nbrs.empty()) {
+        std::copy(self, self + d, dst);
+        continue;
+      }
+      for (uint32_t c = 0; c < d; ++c) {
+        double mean = 0.0;
+        for (uint64_t u : nbrs) mean += row_of(u)[c];
+        mean /= static_cast<double>(nbrs.size());
+        dst[c] = (1.0f - alpha) * self[c] + alpha * static_cast<float>(mean);
+      }
+    }
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      std::copy(out.begin() + i * d, out.begin() + (i + 1) * d,
+                emb->begin() + dirty[i] * d);
+    }
+  }
+}
+
+TEST(IncrementalEmbedderTest, DenseGatherMatchesSortedLookupReference) {
+  // Vertex 0 is a hub (edges to and from every other vertex), the rest a
+  // ring with chords, and the last vertex is isolated (no edges at all).
+  const uint64_t n = 41;
+  const uint64_t isolated = n - 1;
+  graph::EdgeList edges;
+  for (uint64_t v = 1; v < isolated; ++v) {
+    edges.push_back({0, v, 1.0f});
+    edges.push_back({v, 0, 1.0f});
+    edges.push_back({v, v % (isolated - 1) + 1, 1.0f});
+    if (v % 3 == 0) edges.push_back({v, (v * 7) % (isolated - 1) + 1, 1.0f});
+  }
+  ReembedOptions eo;
+  eo.dim = 5;
+  eo.alpha = 0.3f;
+  eo.steps = 2;
+  const std::vector<uint64_t> dirty = {0, 3, 17, 22, isolated};
+
+  struct Rows {
+    std::vector<std::vector<uint64_t>> adjacency;
+    std::vector<float> seeded;      // hash-seeded, before any smoothing
+    std::vector<float> bootstrap;   // after InitFull
+    std::vector<float> wide;        // assigned before the one-step re-embed
+    std::vector<float> reembedded;  // after it
+  };
+  auto run = [&]() -> Rows {
+    Rows out;
+    auto ctx_or = core::PsGraphContext::Create(SmallOptions(3, 2));
+    PSG_CHECK_OK(ctx_or.status());
+    auto& ctx = **ctx_or;
+    auto adj = LoadMutableAdjacency(ctx, edges, n, "adj");
+    PSG_CHECK_OK(adj.status());
+    ps::PsAgent agent(&ctx.ps(), ctx.cluster().config().driver());
+    std::vector<uint64_t> all(n);
+    for (uint64_t v = 0; v < n; ++v) all[v] = v;
+    auto entries = agent.PullNeighbors(*adj, all);
+    PSG_CHECK_OK(entries.status());
+    for (const ps::NeighborEntry& e : *entries) {
+      out.adjacency.push_back(e.neighbors);
+    }
+    auto pull = [&](const ps::MatrixMeta& m) {
+      auto rows = agent.PullRows(m, all);
+      PSG_CHECK_OK(rows.status());
+      return *rows;
+    };
+
+    // The same seed with no smoothing step gives the start rows.
+    ReembedOptions raw = eo;
+    raw.steps = 0;
+    auto seeded = IncrementalEmbedder::Create(&ctx, *adj, n, raw, "raw");
+    PSG_CHECK_OK(seeded.status());
+    PSG_CHECK_OK(seeded->InitFull());
+    out.seeded = pull(seeded->matrix());
+
+    auto embedder = IncrementalEmbedder::Create(&ctx, *adj, n, eo, "emb");
+    PSG_CHECK_OK(embedder.status());
+    PSG_CHECK_OK(embedder->InitFull());
+    out.bootstrap = pull(embedder->matrix());
+
+    // Order-sensitive rows: the hub's neighbor list is a tiny value, then
+    // +2^60/-2^60 pairs. Summed in list order the tiny value is absorbed
+    // and the pairs cancel to 0; summed in any other order it can survive.
+    // The hub's own row is 0, so the difference outlives the mix and the
+    // cast to float. One smoothing step, since a second would average the
+    // huge terms into values that no longer cancel.
+    const float kHuge = std::ldexp(1.0f, 60);
+    out.wide.assign(n * eo.dim, 0.75f);
+    for (uint64_t v = 0; v < isolated; ++v) {
+      for (int c = 0; c < eo.dim; ++c) {
+        float& x = out.wide[v * eo.dim + c];
+        if (v == 0) {
+          x = 0.0f;
+        } else if (v == 1) {
+          x = std::ldexp(1.0f + c, -30);
+        } else {
+          x = v % 2 == 0 ? kHuge : -kHuge;
+        }
+      }
+    }
+    ReembedOptions one = eo;
+    one.steps = 1;
+    auto wide = IncrementalEmbedder::Create(&ctx, *adj, n, one, "wide");
+    PSG_CHECK_OK(wide.status());
+    PSG_CHECK_OK(agent.PushAssign(wide->matrix(), all, out.wide));
+    auto rewritten = wide->ReembedDirty(dirty);
+    PSG_CHECK_OK(rewritten.status());
+    EXPECT_EQ(*rewritten, dirty.size());
+    out.reembedded = pull(wide->matrix());
+    return out;
+  };
+
+  auto expect_same = [](const std::vector<float>& got,
+                        const std::vector<float>& want, const char* what,
+                        size_t threads) {
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             got.size() * sizeof(float)))
+        << what << " rows differ from the reference at parallelism "
+        << threads;
+  };
+  std::vector<uint64_t> all(n);
+  for (uint64_t v = 0; v < n; ++v) all[v] = v;
+  for (size_t threads : {1, 4}) {
+    SetGlobalParallelism(threads);
+    Rows rows = run();
+    ASSERT_EQ(rows.adjacency.size(), n);
+    EXPECT_TRUE(rows.adjacency[isolated].empty());
+    EXPECT_EQ(rows.adjacency[0].size(), n - 2);
+
+    ReferenceReembed(rows.adjacency, all, eo.dim, eo.alpha, eo.steps,
+                     &rows.seeded);
+    expect_same(rows.bootstrap, rows.seeded, "bootstrap", threads);
+    ReferenceReembed(rows.adjacency, dirty, eo.dim, eo.alpha, /*steps=*/1,
+                     &rows.wide);
+    expect_same(rows.reembedded, rows.wide, "re-embedded", threads);
+  }
+  SetGlobalParallelism(0);
+}
+
+TEST(IncrementalEmbedderTest, OutOfRangeNeighborFailsBeforeWritingRows) {
+  const uint64_t n = 16;
+  auto ctx_or = core::PsGraphContext::Create(SmallOptions());
+  PSG_CHECK_OK(ctx_or.status());
+  auto& ctx = **ctx_or;
+  auto adj = LoadMutableAdjacency(ctx, MakeRing(n), n, "adj");
+  PSG_CHECK_OK(adj.status());
+  ReembedOptions eo;
+  eo.dim = 4;
+  auto embedder = IncrementalEmbedder::Create(&ctx, *adj, n, eo, "emb");
+  PSG_CHECK_OK(embedder.status());
+  PSG_CHECK_OK(embedder->InitFull());
+
+  ps::PsAgent agent(&ctx.ps(), ctx.cluster().config().driver());
+  std::vector<uint64_t> all(n);
+  for (uint64_t v = 0; v < n; ++v) all[v] = v;
+  auto before = agent.PullRows(embedder->matrix(), all);
+  PSG_CHECK_OK(before.status());
+
+  // Vertex 5 gains a neighbor one past the id space.
+  PSG_CHECK_OK(agent.PushNeighbors(*adj, {{5, {n}, {}}}));
+  auto r = embedder->ReembedDirty({2, 5, 9});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("key " + std::to_string(n) +
+                                      " outside the id space"),
+            std::string::npos)
+      << r.status().ToString();
+
+  auto after = agent.PullRows(embedder->matrix(), all);
+  PSG_CHECK_OK(after.status());
+  ASSERT_EQ(before->size(), after->size());
+  EXPECT_EQ(0, std::memcmp(before->data(), after->data(),
+                           before->size() * sizeof(float)));
+
+  // A dirty id outside the id space fails the same way.
+  auto bad_dirty = embedder->ReembedDirty({3, n + 4});
+  ASSERT_FALSE(bad_dirty.ok());
+  EXPECT_EQ(bad_dirty.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_dirty.status().message().find("outside the id space"),
+            std::string::npos)
+      << bad_dirty.status().ToString();
+}
+
 }  // namespace
 }  // namespace psgraph::stream

@@ -189,6 +189,164 @@ TEST(DeltaListTest, TruncatedPayloadFailsLoud) {
   }
 }
 
+// --- Differential checks of the bulk codec against per-value references.
+
+/// PutDeltaList written one PutVarint64 at a time.
+void ReferencePutDeltaList(ByteBuffer* buf, const std::vector<uint64_t>& v) {
+  PutVarint64(buf, v.size());
+  uint64_t prev = 0;
+  for (size_t i = 0; i < v.size(); ++i) {
+    PutVarint64(buf, i == 0 ? v[0]
+                            : ZigZagEncode(static_cast<int64_t>(v[i] - prev)));
+    prev = v[i];
+  }
+}
+
+/// The byte-at-a-time decoder: one checked GetVarint64 per value.
+Status ReferenceGetDeltaList(ByteReader* reader, std::vector<uint64_t>* out) {
+  const size_t start = reader->position();
+  uint64_t count = 0;
+  PSG_RETURN_NOT_OK(GetVarint64(reader, &count));
+  if (count > reader->remaining()) {
+    return Status::OutOfRange(
+        "delta list: count " + std::to_string(count) + " at offset " +
+        std::to_string(start) + " exceeds remaining " +
+        std::to_string(reader->remaining()) + " bytes");
+  }
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t raw = 0;
+    PSG_RETURN_NOT_OK(GetVarint64(reader, &raw));
+    uint64_t value =
+        (i == 0) ? raw : prev + static_cast<uint64_t>(ZigZagDecode(raw));
+    out->push_back(value);
+    prev = value;
+  }
+  return Status::OK();
+}
+
+/// Decodes bytes[skip, len) with both decoders into lists that already
+/// hold a value, and expects the same values, Status and end position.
+void ExpectDecodersAgree(const std::vector<uint8_t>& bytes, size_t skip,
+                         size_t len, const std::string& what) {
+  ByteReader ref(bytes.data(), len);
+  ByteReader got(bytes.data(), len);
+  ref.Skip(skip);
+  got.Skip(skip);
+  std::vector<uint64_t> ref_out = {123};
+  std::vector<uint64_t> got_out = {123};
+  const Status ref_st = ReferenceGetDeltaList(&ref, &ref_out);
+  const Status got_st = GetDeltaList(&got, &got_out);
+  EXPECT_EQ(got_st.code(), ref_st.code()) << what;
+  EXPECT_EQ(got_st.message(), ref_st.message()) << what;
+  EXPECT_EQ(got_out, ref_out) << what;
+  EXPECT_EQ(got.position(), ref.position()) << what;
+}
+
+/// A random list: sorted, unsorted or duplicate-heavy, over small or full
+/// 64-bit values, with 0 and UINT64_MAX mixed in.
+std::vector<uint64_t> RandomList(Rng& rng, size_t len) {
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const uint64_t kind = rng.NextBounded(4);
+  std::vector<uint64_t> v(len);
+  for (auto& x : v) {
+    switch (rng.NextBounded(6)) {
+      case 0: x = 0; break;
+      case 1: x = kMax; break;
+      case 2: x = rng.NextU64(); break;  // mostly 10-byte deltas
+      default: x = rng.NextBounded(kind == 3 ? 4 : 1ull << 20); break;
+    }
+  }
+  if (kind == 0) std::sort(v.begin(), v.end());
+  if (kind == 1) std::sort(v.rbegin(), v.rend());
+  return v;
+}
+
+TEST(DeltaListDifferentialTest, EncodeMatchesPerValueVarints) {
+  Rng rng(21);
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  std::vector<std::vector<uint64_t>> lists = {
+      {}, {0}, {kMax}, {0, kMax, 0, kMax}, {kMax, 1, kMax - 1}};
+  for (int i = 0; i < 300; ++i) lists.push_back(RandomList(rng, i % 40));
+  for (const auto& v : lists) {
+    ByteBuffer got;
+    got.Write<uint8_t>(0xab);  // appends after what is already there
+    PutDeltaList(&got, v);
+    ByteBuffer ref;
+    ref.Write<uint8_t>(0xab);
+    ReferencePutDeltaList(&ref, v);
+    EXPECT_EQ(got.data(), ref.data());
+    EXPECT_EQ(got.size(), 1 + DeltaListSize(v.data(), v.size()));
+  }
+}
+
+TEST(DeltaListDifferentialTest, DecodeMatchesReferenceAtEveryTruncation) {
+  Rng rng(22);
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  std::vector<std::vector<uint64_t>> lists = {
+      {}, {0}, {kMax}, {0, kMax, 0, kMax}, {5, 5, 5, 9, 9, 5}};
+  for (int i = 0; i < 200; ++i) lists.push_back(RandomList(rng, i % 30));
+  for (size_t l = 0; l < lists.size(); ++l) {
+    // A 3-byte header first, so error offsets are not list-relative, and
+    // a second list behind it, so the first decodes entirely in bulk.
+    ByteBuffer buf;
+    buf.Write<uint8_t>(1);
+    buf.Write<uint16_t>(2);
+    PutDeltaList(&buf, lists[l]);
+    PutDeltaList(&buf, lists[(l + 1) % lists.size()]);
+    const std::vector<uint8_t>& bytes = buf.data();
+    for (size_t len = 3; len <= bytes.size(); ++len) {
+      ExpectDecodersAgree(bytes, 3, len,
+                          "list " + std::to_string(l) + " cut at " +
+                              std::to_string(len));
+    }
+  }
+}
+
+TEST(DeltaListDifferentialTest, MalformedVarintsMatchReference) {
+  // Overflowing 10th bytes and a continuation bit on the 10th byte, at
+  // every value position, followed by 0..12 valid bytes: the bad varint
+  // lands both in the bulk window and in the checked tail, and every
+  // truncation of the buffer is decoded too.
+  const std::vector<std::vector<uint8_t>> bad = {
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7f, 0x00},
+  };
+  const std::vector<uint64_t> good = {300, 1ull << 40, 7, 0};
+  for (size_t b = 0; b < bad.size(); ++b) {
+    for (size_t at = 0; at <= good.size(); ++at) {  // at == size: the count
+      for (size_t pad = 0; pad <= 12; ++pad) {
+        ByteBuffer buf;
+        buf.Write<uint8_t>(9);
+        if (at == good.size()) {
+          buf.WriteRaw(bad[b].data(), bad[b].size());
+        } else {
+          PutVarint64(&buf, good.size() + 1);
+          for (size_t i = 0; i < at; ++i) PutVarint64(&buf, good[i]);
+          buf.WriteRaw(bad[b].data(), bad[b].size());
+        }
+        for (size_t i = 0; i < pad; ++i) buf.Write<uint8_t>(0x05);
+        const std::vector<uint8_t>& bytes = buf.data();
+        for (size_t len = 1; len <= bytes.size(); ++len) {
+          ExpectDecodersAgree(bytes, 1, len,
+                              "bad " + std::to_string(b) + " at " +
+                                  std::to_string(at) + " pad " +
+                                  std::to_string(pad) + " cut " +
+                                  std::to_string(len));
+        }
+        // The untruncated buffer fails on the bad varint itself.
+        ByteReader reader(bytes.data(), bytes.size());
+        reader.Skip(1);
+        std::vector<uint64_t> out;
+        const Status st = GetDeltaList(&reader, &out);
+        ASSERT_FALSE(st.ok());
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      }
+    }
+  }
+}
+
 TEST(FloatBlockTest, RoundTripAndAppendSemantics) {
   std::vector<float> values = {0.0f, -1.5f, 3.25f, 1e-30f, -1e30f};
   ByteBuffer buf;
